@@ -85,11 +85,10 @@ pub enum SpecChoice {
     /// the ε/2-DP Laplace baseline.
     ClosedForm,
     /// Every fit names the matrix mechanism with the hierarchical
-    /// strategy (`MechanismSpec::MatrixHist`). Above
-    /// [`SPARSE_DOMAIN_THRESHOLD`](blowfish_engine::SPARSE_DOMAIN_THRESHOLD)
-    /// the engine plans it through the sparse path: CSR strategy plus CG
-    /// pseudoinverse application, never a dense k×k A⁺ — the only route
-    /// that reaches large domains like k = 16 384.
+    /// strategy (`MechanismSpec::MatrixHist`). The engine plans it, at
+    /// every domain size, through its one factored path: CSR strategy
+    /// with `AᵀA` factored once, never a dense k×k A⁺ — which is what
+    /// lets it reach large domains like k = 16 384.
     SparseMatrix,
 }
 
@@ -276,7 +275,7 @@ impl Scenario {
                 name: "sparse-large-domain".to_string(),
                 description: "2 θ-line tenants over k = 16384 — far above the dense \
                               planning ceiling — fitting the matrix mechanism through \
-                              the sparse CSR + CG path"
+                              the factored CSR path"
                     .to_string(),
                 seed: 41,
                 tenants: 2,

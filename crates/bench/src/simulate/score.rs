@@ -785,9 +785,8 @@ mod tests {
     fn sparse_large_domain_scenario_plans_through_the_sparse_path() {
         // Replay the large-k scenario against a hand-built service so the
         // plan-cache counters are observable: at k = 16384 every
-        // MatrixHist fit must route through the sparse CSR + CG path
-        // (one build, shared by both tenants) and never materialize a
-        // dense A⁺.
+        // MatrixHist fit must be served by one CSR matrix mechanism (one
+        // build, shared by both tenants) over one cached factorization.
         let scenario = Scenario::find("sparse-large-domain").unwrap();
         let trace = generate(&scenario).unwrap();
         let service = Service::new();
@@ -797,7 +796,7 @@ mod tests {
         let replayed = service.replay(&trace.requests);
         assert!(replayed.iter().all(|r| r.response.is_ok()));
         assert_eq!(service.cache().stats().sparse_matrix_builds(), 1);
-        assert_eq!(service.cache().stats().pseudoinverse_builds(), 0);
+        assert_eq!(service.cache().stats().sparse_factorizations(), 1);
         // And the scorer holds it to the same gates as every scenario.
         let report = score(&scenario, &trace).unwrap();
         assert!(report.passed(), "{:#?}", report.violations);

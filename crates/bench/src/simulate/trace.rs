@@ -106,7 +106,7 @@ fn spec_for(family: PolicyFamily, choice: SpecChoice) -> Option<MechanismSpec> {
         }),
         // The ε/2-DP matrix-mechanism baseline with the hierarchical
         // strategy: valid under every policy family, and planned through
-        // the sparse CSR + CG path above SPARSE_DOMAIN_THRESHOLD.
+        // the engine's one factored CSR path at every domain size.
         SpecChoice::SparseMatrix => Some(MechanismSpec::MatrixHist {
             strategy: MatrixStrategyKind::Hierarchical,
         }),

@@ -2,10 +2,14 @@
 //!
 //! Every policy-aware strategy leans on artifacts that are pure functions
 //! of `(domain, policy)` — the incidence matrix `P_G`, the `H^θ` spanners
-//! with their certified stretch, Haar wavelet plans, matrix-mechanism
-//! pseudoinverses `A⁺`. Before the engine existed each invocation
-//! re-derived them; a [`PlanCache`] materializes each artifact exactly
-//! once and hands out `Arc` clones across fits, trials, and mechanisms.
+//! with their certified stretch, Haar wavelet plans, and the
+//! matrix-mechanism plans every `MatrixHist`/`MatrixRange` release is
+//! served through: CSR workload and strategy over one shared
+//! [`GramSolver`] per strategy that factors `AᵀA` once, so a release is
+//! two triangular solves and no dense `A⁺` is ever materialized. Before
+//! the engine existed each invocation re-derived them; a [`PlanCache`]
+//! materializes each artifact exactly once and hands out `Arc` clones
+//! across fits, trials, and mechanisms.
 //!
 //! Build counts are tracked in [`PlanStats`] so callers (tests, the
 //! `engine` criterion bench) can *prove* the cache is not silently
@@ -28,15 +32,12 @@
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-use blowfish_core::{Epsilon, Incidence, PolicyGraph};
-use blowfish_mechanisms::{
-    GramSolver, MatrixMechanism, MechanismError, PinvApply, SparseMatrixMechanism,
-};
+use blowfish_core::{Incidence, PolicyGraph};
+use blowfish_mechanisms::{GramSolver, MechanismError, SparseMatrixMechanism};
 use blowfish_strategies::{GridPlans, ThetaGridStrategy, ThetaLineStrategy};
-use rand::Rng;
 
 use crate::EngineError;
 
@@ -48,7 +49,6 @@ pub struct PlanStats {
     theta_line: AtomicUsize,
     theta_grid: AtomicUsize,
     haar: AtomicUsize,
-    pseudoinverse: AtomicUsize,
     sparse_solver: AtomicUsize,
     sparse_factorization: AtomicUsize,
     cg_fallback: AtomicUsize,
@@ -75,14 +75,17 @@ impl PlanStats {
         self.haar.load(Ordering::Relaxed)
     }
 
-    /// Matrix-mechanism pseudoinverses (`A⁺`) materialized dense.
+    /// Dense matrix-mechanism pseudoinverses (`A⁺`) materialized: always
+    /// 0, because every matrix-mechanism plan goes through the factored
+    /// path counted by [`PlanStats::sparse_matrix_builds`]. Kept so
+    /// existing callers (the `perfbench` trace replay reads it) keep
+    /// compiling and reporting the same zero.
     pub fn pseudoinverse_builds(&self) -> usize {
-        self.pseudoinverse.load(Ordering::Relaxed)
+        0
     }
 
-    /// CSR matrix mechanisms (CG-applied `A⁺`) built — the large-k path.
-    /// Together with [`PlanStats::pseudoinverse_builds`] this exposes the
-    /// sparse-vs-dense planning split.
+    /// CSR matrix mechanisms built, each applying `A⁺` through its
+    /// strategy's shared [`GramSolver`] — the one matrix-mechanism path.
     pub fn sparse_matrix_builds(&self) -> usize {
         self.sparse_solver.load(Ordering::Relaxed)
     }
@@ -109,7 +112,6 @@ impl PlanStats {
             + self.theta_line_builds()
             + self.theta_grid_builds()
             + self.haar_plan_builds()
-            + self.pseudoinverse_builds()
             + self.sparse_matrix_builds()
     }
 }
@@ -128,99 +130,6 @@ pub struct SolverStats {
     pub sparse_factorizations: usize,
     /// Gram solvers that fell back to preconditioned CG.
     pub cg_fallbacks: usize,
-}
-
-/// Domain size above which [`MatrixPathMode::Auto`] routes matrix
-/// mechanisms through the CSR + CG path. Below it the dense path's
-/// precomputed `W A⁺` wins (O(q·p) per release, no per-release solve);
-/// above it the dense k×k objects dominate build time and memory while
-/// the sparse strategies stay O(k log k) — k=512 is where PR 3's bench
-/// trajectory shows dense planning costs turning superlinear.
-pub const SPARSE_DOMAIN_THRESHOLD: usize = 512;
-
-/// Which matrix-mechanism implementation the plan cache hands out.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum MatrixPathMode {
-    /// Pick by domain size: sparse above [`SPARSE_DOMAIN_THRESHOLD`].
-    #[default]
-    Auto,
-    /// Always materialize the dense pseudoinverse (the proptest-pinned
-    /// reference path).
-    ForceDense,
-    /// Always use CSR strategies with CG-applied `A⁺` (what the
-    /// large-domain simulator scenario exercises at every k).
-    ForceSparse,
-}
-
-impl MatrixPathMode {
-    /// Whether a mechanism over `k` domain cells takes the sparse path.
-    pub fn picks_sparse(self, k: usize) -> bool {
-        match self {
-            MatrixPathMode::Auto => k > SPARSE_DOMAIN_THRESHOLD,
-            MatrixPathMode::ForceDense => false,
-            MatrixPathMode::ForceSparse => true,
-        }
-    }
-}
-
-/// A planned matrix mechanism from either path, presenting the uniform
-/// surface `Session` serves releases through.
-#[derive(Clone, Debug)]
-pub enum PlannedMatrix {
-    /// Dense workload/strategy with a materialized `W A⁺`.
-    Dense(Arc<MatrixMechanism>),
-    /// CSR workload/strategy; `A⁺` applied per release by CG.
-    Sparse(Arc<SparseMatrixMechanism>),
-}
-
-impl PlannedMatrix {
-    /// How this plan applies `A⁺` (the `PinvMethod`-style report).
-    pub fn apply_method(&self) -> PinvApply {
-        match self {
-            PlannedMatrix::Dense(m) => m.apply_method(),
-            PlannedMatrix::Sparse(m) => m.apply_method(),
-        }
-    }
-
-    /// Whether the sparse path was chosen.
-    pub fn is_sparse(&self) -> bool {
-        matches!(self, PlannedMatrix::Sparse(_))
-    }
-
-    /// The strategy sensitivity `Δ_A`.
-    pub fn delta_a(&self) -> f64 {
-        match self {
-            PlannedMatrix::Dense(m) => m.delta_a(),
-            PlannedMatrix::Sparse(m) => m.delta_a(),
-        }
-    }
-
-    /// Runs the mechanism: `Wx + W A⁺ Lap(Δ_A/ε)^p`. Both paths draw the
-    /// same number of Laplace samples in the same order, so equal seeds
-    /// give releases equal to solver tolerance.
-    pub fn run<R: Rng + ?Sized>(
-        &self,
-        x: &[f64],
-        eps: Epsilon,
-        rng: &mut R,
-    ) -> Result<Vec<f64>, MechanismError> {
-        match self {
-            PlannedMatrix::Dense(m) => m.run(x, eps, rng),
-            PlannedMatrix::Sparse(m) => m.run(x, eps, rng),
-        }
-    }
-
-    /// Draws only the reconstructed noise vector.
-    pub fn noise_only<R: Rng + ?Sized>(
-        &self,
-        eps: Epsilon,
-        rng: &mut R,
-    ) -> Result<Vec<f64>, MechanismError> {
-        match self {
-            PlannedMatrix::Dense(m) => m.noise_only(eps, rng),
-            PlannedMatrix::Sparse(m) => m.noise_only(eps, rng),
-        }
-    }
 }
 
 /// Number of independent mutex shards per artifact class. Small powers of
@@ -295,16 +204,12 @@ pub struct PlanCache {
     theta_line: Striped<(usize, usize), Arc<ThetaLineStrategy>>,
     theta_grid: Striped<(usize, usize), Arc<ThetaGridStrategy>>,
     grid_plans: Striped<(usize, usize), GridPlans>,
-    matrix: Striped<String, Arc<MatrixMechanism>>,
     sparse_matrix: Striped<String, Arc<SparseMatrixMechanism>>,
     /// Shared normal-equation solvers keyed per strategy (not per
     /// workload), so every workload over one strategy — the W = I
     /// histogram and the W ≠ I range mechanism alike — pays for at most
     /// one factorization.
     gram_solvers: Striped<String, Arc<GramSolver>>,
-    /// Encoded [`MatrixPathMode`] (0 = Auto, 1 = ForceDense,
-    /// 2 = ForceSparse); atomic so services can flip it at runtime.
-    matrix_mode: AtomicU8,
     stats: PlanStats,
 }
 
@@ -393,24 +298,9 @@ impl PlanCache {
             })
     }
 
-    /// A prepared matrix mechanism (workload, strategy, pseudoinverse
-    /// `A⁺`) under a caller-chosen key, derived at most once per key.
-    pub fn matrix_mechanism<F>(
-        &self,
-        key: &str,
-        build: F,
-    ) -> Result<Arc<MatrixMechanism>, EngineError>
-    where
-        F: FnOnce() -> Result<MatrixMechanism, MechanismError>,
-    {
-        self.matrix
-            .get_or_build(key.to_string(), &self.stats.pseudoinverse, || {
-                Ok(Arc::new(build()?))
-            })
-    }
-
-    /// A prepared CSR matrix mechanism (CG-applied `A⁺`) under a
-    /// caller-chosen key, derived at most once per key.
+    /// A prepared CSR matrix mechanism (`A⁺` applied through its
+    /// strategy's [`GramSolver`]) under a caller-chosen key, derived at
+    /// most once per key.
     pub fn sparse_matrix_mechanism<F>(
         &self,
         key: &str,
@@ -472,61 +362,11 @@ impl PlanCache {
         }
         agg
     }
-
-    /// The current matrix-mechanism path policy.
-    pub fn matrix_mode(&self) -> MatrixPathMode {
-        match self.matrix_mode.load(Ordering::Relaxed) {
-            1 => MatrixPathMode::ForceDense,
-            2 => MatrixPathMode::ForceSparse,
-            _ => MatrixPathMode::Auto,
-        }
-    }
-
-    /// Sets the matrix-mechanism path policy. Affects only *future* cold
-    /// builds; already-cached plans keep serving (the two paths cache
-    /// under separate stripes, so flipping the mode never aliases them).
-    pub fn set_matrix_mode(&self, mode: MatrixPathMode) {
-        let code = match mode {
-            MatrixPathMode::Auto => 0,
-            MatrixPathMode::ForceDense => 1,
-            MatrixPathMode::ForceSparse => 2,
-        };
-        self.matrix_mode.store(code, Ordering::Relaxed);
-    }
-
-    /// A planned matrix mechanism over `domain_size` cells, routed dense
-    /// or sparse by the cache's [`MatrixPathMode`] and derived at most
-    /// once per `(path, key)`. `PlanStats` counts the build under
-    /// `pseudoinverse_builds` (dense) or `sparse_matrix_builds` (sparse),
-    /// so tests and benches can prove which path planned.
-    pub fn planned_matrix<FD, FS>(
-        &self,
-        key: &str,
-        domain_size: usize,
-        build_dense: FD,
-        build_sparse: FS,
-    ) -> Result<PlannedMatrix, EngineError>
-    where
-        FD: FnOnce() -> Result<MatrixMechanism, MechanismError>,
-        FS: FnOnce() -> Result<SparseMatrixMechanism, MechanismError>,
-    {
-        if self.matrix_mode().picks_sparse(domain_size) {
-            Ok(PlannedMatrix::Sparse(
-                self.sparse_matrix_mechanism(key, build_sparse)?,
-            ))
-        } else {
-            Ok(PlannedMatrix::Dense(
-                self.matrix_mechanism(key, build_dense)?,
-            ))
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use blowfish_linalg::Matrix;
-    use blowfish_mechanisms::identity_strategy;
 
     #[test]
     fn artifacts_are_derived_once() {
@@ -564,73 +404,6 @@ mod tests {
         // Seeding an already-derived incidence is idempotent per graph.
         cache.seed_incidence(&line, Arc::clone(&a));
         assert_eq!(cache.stats().incidence_builds(), 2);
-    }
-
-    #[test]
-    fn pseudoinverse_cached_by_key() {
-        let cache = PlanCache::new();
-        let build = || MatrixMechanism::new(Matrix::identity(4), identity_strategy(4));
-        let a = cache.matrix_mechanism("identity/4", build).unwrap();
-        let b = cache.matrix_mechanism("identity/4", build).unwrap();
-        assert!(Arc::ptr_eq(&a, &b));
-        assert_eq!(cache.stats().pseudoinverse_builds(), 1);
-    }
-
-    #[test]
-    fn matrix_mode_picks_path_by_threshold() {
-        assert!(!MatrixPathMode::Auto.picks_sparse(SPARSE_DOMAIN_THRESHOLD));
-        assert!(MatrixPathMode::Auto.picks_sparse(SPARSE_DOMAIN_THRESHOLD + 1));
-        assert!(!MatrixPathMode::ForceDense.picks_sparse(1 << 20));
-        assert!(MatrixPathMode::ForceSparse.picks_sparse(2));
-    }
-
-    #[test]
-    fn planned_matrix_routes_and_counts_by_mode() {
-        use blowfish_linalg::SparseMatrix;
-        use blowfish_mechanisms::{identity_strategy_sparse, SparseMatrixMechanism};
-        let cache = PlanCache::new();
-        assert_eq!(cache.matrix_mode(), MatrixPathMode::Auto);
-        let dense_build = || MatrixMechanism::new(Matrix::identity(8), identity_strategy(8));
-        let sparse_build =
-            || SparseMatrixMechanism::new(SparseMatrix::identity(8), identity_strategy_sparse(8));
-        // k=8 under Auto: dense.
-        let p = cache
-            .planned_matrix("identity/8", 8, dense_build, sparse_build)
-            .unwrap();
-        assert!(!p.is_sparse());
-        assert!(matches!(p.apply_method(), PinvApply::Materialized(_)));
-        assert_eq!(cache.stats().pseudoinverse_builds(), 1);
-        assert_eq!(cache.stats().sparse_matrix_builds(), 0);
-        // Forced sparse: same key lands in the sparse stripe, counted there.
-        cache.set_matrix_mode(MatrixPathMode::ForceSparse);
-        let p = cache
-            .planned_matrix("identity/8", 8, dense_build, sparse_build)
-            .unwrap();
-        assert!(p.is_sparse());
-        // The identity Gram is trivially within the factor budgets.
-        assert_eq!(p.apply_method(), PinvApply::Factored);
-        assert_eq!(p.delta_a(), 1.0);
-        assert_eq!(cache.stats().pseudoinverse_builds(), 1);
-        assert_eq!(cache.stats().sparse_matrix_builds(), 1);
-        // Cached: a repeat build does not re-derive.
-        cache
-            .planned_matrix("identity/8", 8, dense_build, sparse_build)
-            .unwrap();
-        assert_eq!(cache.stats().sparse_matrix_builds(), 1);
-        // Both paths noise identically from equal seeds (identity W/A:
-        // the solve is exact).
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-        let eps = Epsilon::new(1.0).unwrap();
-        cache.set_matrix_mode(MatrixPathMode::ForceDense);
-        let d = cache
-            .planned_matrix("identity/8", 8, dense_build, sparse_build)
-            .unwrap();
-        let nd = d.noise_only(eps, &mut StdRng::seed_from_u64(3)).unwrap();
-        let ns = p.noise_only(eps, &mut StdRng::seed_from_u64(3)).unwrap();
-        for (a, b) in nd.iter().zip(&ns) {
-            assert!((a - b).abs() < 1e-10);
-        }
     }
 
     #[test]

@@ -26,11 +26,10 @@ use std::sync::{Arc, Mutex};
 use rand::RngCore;
 
 use blowfish_core::{Charge, DataVector, Domain, Epsilon, Ledger, PolicyGraph, Vtx, Workload};
-use blowfish_linalg::{Matrix, SparseMatrix};
+use blowfish_linalg::SparseMatrix;
 use blowfish_mechanisms::{
-    hierarchical_strategy, hierarchical_strategy_sparse, identity_strategy,
-    identity_strategy_sparse, wavelet_strategy, wavelet_strategy_sparse, GramSolver,
-    MatrixMechanism, MechanismError, SparseMatrixMechanism,
+    hierarchical_strategy_sparse, identity_strategy_sparse, wavelet_strategy_sparse, GramSolver,
+    MechanismError, SparseMatrixMechanism,
 };
 use blowfish_strategies::{
     DawaBaseline1d, DawaBaseline2d, Estimate, GridMechanism, LaplaceBaseline, LineMechanism,
@@ -38,7 +37,7 @@ use blowfish_strategies::{
     ThetaGridMechanism, ThetaLineMechanism, TreeEstimator, TreeMechanism,
 };
 
-use crate::plan::{PlanCache, PlannedMatrix};
+use crate::plan::PlanCache;
 use crate::spec::{MatrixStrategyKind, MechanismSpec, Task};
 use crate::EngineError;
 
@@ -623,29 +622,19 @@ impl Session {
                 let strat = self.cache.theta_grid_strategy(self.domain.dim(0), *theta)?;
                 Arc::new(ThetaGridMechanism::new(strat, eps))
             }
-            MechanismSpec::MatrixHist { strategy } => {
+            MechanismSpec::MatrixHist { strategy } | MechanismSpec::MatrixRange { strategy } => {
                 let k = self.domain.size();
-                let key = format!("mm-hist/{}/{k}", strategy.id());
-                let planned = self.cache.planned_matrix(
-                    &key,
-                    k,
-                    || dense_matrix_hist(*strategy, k),
-                    || sparse_matrix_hist(&self.cache, *strategy, k),
-                )?;
-                Arc::new(MatrixHistMechanism {
-                    name: spec.id(),
-                    eps,
-                    domain: self.domain.clone(),
-                    planned,
-                })
-            }
-            MechanismSpec::MatrixRange { strategy } => {
-                let k = self.domain.size();
-                let key = format!("mm-range/{}/{k}", strategy.id());
+                let key = format!("{}/{k}", spec.id());
                 let mech = self.cache.sparse_matrix_mechanism(&key, || {
-                    sparse_matrix_range(&self.cache, *strategy, k)
+                    let w = match spec {
+                        MechanismSpec::MatrixRange { .. } => {
+                            Workload::dyadic_ranges_1d(k).to_sparse_matrix()
+                        }
+                        _ => SparseMatrix::identity(k),
+                    };
+                    factored_matrix(&self.cache, *strategy, w)
                 })?;
-                Arc::new(MatrixRangeMechanism {
+                Arc::new(FactoredMatrixFit {
                     name: spec.id(),
                     eps,
                     domain: self.domain.clone(),
@@ -656,69 +645,32 @@ impl Session {
     }
 }
 
-/// The matrix mechanism on the histogram workload `W = I_k` as a servable
-/// [`Mechanism`], over whichever path ([`PlannedMatrix`]) the plan cache
-/// chose. For 2-D domains the histogram is the row-major linearization,
-/// so the resulting [`Estimate`] still answers 2-D ranges in O(1).
-struct MatrixHistMechanism {
-    name: String,
-    eps: Epsilon,
-    domain: Domain,
-    planned: PlannedMatrix,
-}
-
-impl std::fmt::Debug for MatrixHistMechanism {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MatrixHistMechanism")
-            .field("name", &self.name)
-            .field("apply", &self.planned.apply_method())
-            .finish()
-    }
-}
-
-impl Mechanism for MatrixHistMechanism {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn epsilon(&self) -> Epsilon {
-        self.eps
-    }
-
-    fn fit(&self, x: &DataVector, rng: &mut dyn RngCore) -> Result<Estimate, StrategyError> {
-        let hist = self
-            .planned
-            .run(x.counts(), self.eps, rng)
-            .map_err(StrategyError::Mechanism)?;
-        Estimate::new(&self.domain, hist)
-    }
-}
-
-/// The matrix mechanism on the dyadic range workload `W = D_k` as a
-/// servable [`Mechanism`]. `fit` releases the reconstructed domain
-/// estimate `x̂ = x + A⁺η` — the noisy object every workload answer
-/// `W x̂` is a linear function of — so the resulting [`Estimate`]
-/// answers ranges exactly as the mechanism's releases would. Served
-/// exclusively through the sparse path: the dense mechanism stores only
-/// `W A⁺` and cannot reconstruct `x̂`.
-struct MatrixRangeMechanism {
+/// A matrix mechanism as a servable [`Mechanism`]. `fit` releases the
+/// reconstructed domain estimate `x̂ = x + A⁺η` — the noisy object every
+/// workload answer `W x̂` is a linear function of — so the resulting
+/// [`Estimate`] answers the workload exactly as the mechanism's releases
+/// would. For the histogram workload `W = I` this is the release itself
+/// (a CSR identity product is exact). For 2-D domains the histogram is
+/// the row-major linearization, so the estimate still answers 2-D
+/// ranges in O(1).
+struct FactoredMatrixFit {
     name: String,
     eps: Epsilon,
     domain: Domain,
     mech: Arc<SparseMatrixMechanism>,
 }
 
-impl std::fmt::Debug for MatrixRangeMechanism {
+impl std::fmt::Debug for FactoredMatrixFit {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MatrixRangeMechanism")
+        f.debug_struct("FactoredMatrixFit")
             .field("name", &self.name)
             .field("apply", &self.mech.apply_method())
-            .field("ranges", &self.mech.workload().rows())
+            .field("queries", &self.mech.workload().rows())
             .finish()
     }
 }
 
-impl Mechanism for MatrixRangeMechanism {
+impl Mechanism for FactoredMatrixFit {
     fn name(&self) -> &str {
         &self.name
     }
@@ -736,21 +688,7 @@ impl Mechanism for MatrixRangeMechanism {
     }
 }
 
-/// The dense matrix-hist plan: identity workload, dense strategy matrix,
-/// materialized `W A⁺` (the k ≲ 512 reference path).
-fn dense_matrix_hist(
-    kind: MatrixStrategyKind,
-    k: usize,
-) -> Result<MatrixMechanism, MechanismError> {
-    let strategy = match kind {
-        MatrixStrategyKind::Identity => identity_strategy(k),
-        MatrixStrategyKind::Hierarchical => hierarchical_strategy(k),
-        MatrixStrategyKind::Wavelet => wavelet_strategy(k),
-    };
-    MatrixMechanism::new(Matrix::identity(k), strategy)
-}
-
-/// The strategy matrix for a sparse plan, in CSR form.
+/// The strategy matrix for a matrix-mechanism plan, in CSR form.
 fn sparse_strategy(kind: MatrixStrategyKind, k: usize) -> SparseMatrix {
     match kind {
         MatrixStrategyKind::Identity => identity_strategy_sparse(k),
@@ -759,44 +697,22 @@ fn sparse_strategy(kind: MatrixStrategyKind, k: usize) -> SparseMatrix {
     }
 }
 
-/// The strategy's shared normal-equation solver, planned at most once
-/// per `(strategy, k)` across every workload that uses it (`mm-hist`
-/// and `mm-range` share one factorization).
-fn shared_gram_solver(
+/// A matrix-mechanism plan for workload `w` over the CSR strategy
+/// `kind`, applying `A⁺` per release through the strategy's gram solver.
+/// The solver is planned at most once per `(strategy, k)` and shared by
+/// every workload over it (`mm-hist` and `mm-range` pay for one
+/// factorization): triangular solves when it factored, preconditioned CG
+/// otherwise.
+fn factored_matrix(
     cache: &PlanCache,
     kind: MatrixStrategyKind,
-    k: usize,
-    strategy: &SparseMatrix,
-) -> Arc<GramSolver> {
-    cache.gram_solver(&format!("gram/{}/{k}", kind.id()), || {
-        GramSolver::plan(strategy, SparseMatrixMechanism::DEFAULT_CG_OPTIONS)
-    })
-}
-
-/// The sparse matrix-hist plan: CSR identity workload and strategy,
-/// `A⁺` applied per release through the strategy's cached gram solver —
-/// triangular solves when it factored, preconditioned CG otherwise.
-fn sparse_matrix_hist(
-    cache: &PlanCache,
-    kind: MatrixStrategyKind,
-    k: usize,
+    w: SparseMatrix,
 ) -> Result<SparseMatrixMechanism, MechanismError> {
+    let k = w.cols();
     let strategy = sparse_strategy(kind, k);
-    let solver = shared_gram_solver(cache, kind, k, &strategy);
-    SparseMatrixMechanism::with_solver(SparseMatrix::identity(k), strategy, solver)
-}
-
-/// The sparse matrix-range plan: the dyadic range workload `D_k` as a
-/// real W ≠ I in CSR form, over the same shared gram solver as the
-/// histogram plan.
-fn sparse_matrix_range(
-    cache: &PlanCache,
-    kind: MatrixStrategyKind,
-    k: usize,
-) -> Result<SparseMatrixMechanism, MechanismError> {
-    let strategy = sparse_strategy(kind, k);
-    let solver = shared_gram_solver(cache, kind, k, &strategy);
-    let w = Workload::dyadic_ranges_1d(k).to_sparse_matrix();
+    let solver = cache.gram_solver(&format!("gram/{}/{k}", kind.id()), || {
+        GramSolver::plan(&strategy, SparseMatrixMechanism::DEFAULT_CG_OPTIONS)
+    });
     SparseMatrixMechanism::with_solver(w, strategy, solver)
 }
 
@@ -1116,9 +1032,21 @@ mod tests {
         assert!(Arc::ptr_eq(a.cache(), b.cache()));
     }
 
+    const MATRIX_KINDS: [MatrixStrategyKind; 3] = [
+        MatrixStrategyKind::Identity,
+        MatrixStrategyKind::Hierarchical,
+        MatrixStrategyKind::Wavelet,
+    ];
+
     #[test]
     fn matrix_hist_sparse_fit_matches_dense_fit_from_equal_seeds() {
-        use crate::plan::MatrixPathMode;
+        // The factored fit against a dense materialized-A⁺ oracle built
+        // directly: both draw the same Laplace vector from one seed, so
+        // only the solver can make them differ.
+        use blowfish_linalg::Matrix;
+        use blowfish_mechanisms::{
+            hierarchical_strategy, identity_strategy, wavelet_strategy, MatrixMechanism,
+        };
         let k = 96;
         let graph = PolicyGraph::line(k).unwrap();
         let eps = Epsilon::new(0.8).unwrap();
@@ -1127,32 +1055,25 @@ mod tests {
             (0..k).map(|i| (i % 11) as f64).collect(),
         )
         .unwrap();
-        for strategy in [
-            MatrixStrategyKind::Identity,
-            MatrixStrategyKind::Hierarchical,
-            MatrixStrategyKind::Wavelet,
-        ] {
-            let spec = MechanismSpec::MatrixHist { strategy };
-            // k=96 under Auto plans dense (the pinned reference)…
-            let dense_session = Session::new(&graph, eps).unwrap();
-            let md = dense_session.mechanism(&spec).unwrap();
-            assert_eq!(dense_session.cache().stats().pseudoinverse_builds(), 1);
-            assert_eq!(dense_session.cache().stats().sparse_matrix_builds(), 0);
-            // …while a sparse-forced cache serves the same spec via CG.
-            let sparse_session = Session::new(&graph, eps).unwrap();
-            sparse_session
-                .cache()
-                .set_matrix_mode(MatrixPathMode::ForceSparse);
-            let ms = sparse_session.mechanism(&spec).unwrap();
-            assert_eq!(sparse_session.cache().stats().pseudoinverse_builds(), 0);
-            assert_eq!(sparse_session.cache().stats().sparse_matrix_builds(), 1);
-            // Baseline convention holds on both paths (ε/2 reported).
-            assert_eq!(md.epsilon(), eps.half());
+        for strategy in MATRIX_KINDS {
+            let dense_strategy = match strategy {
+                MatrixStrategyKind::Identity => identity_strategy(k),
+                MatrixStrategyKind::Hierarchical => hierarchical_strategy(k),
+                MatrixStrategyKind::Wavelet => wavelet_strategy(k),
+            };
+            let oracle = MatrixMechanism::new(Matrix::identity(k), dense_strategy).unwrap();
+            let session = Session::new(&graph, eps).unwrap();
+            let ms = session
+                .mechanism(&MechanismSpec::MatrixHist { strategy })
+                .unwrap();
+            assert_eq!(session.cache().stats().sparse_matrix_builds(), 1);
+            // Baseline convention: the matrix mechanism reports ε/2.
             assert_eq!(ms.epsilon(), eps.half());
-            let fd = md.fit(&x, &mut StdRng::seed_from_u64(99)).unwrap();
+            let fd = oracle
+                .run(x.counts(), eps.half(), &mut StdRng::seed_from_u64(99))
+                .unwrap();
             let fs = ms.fit(&x, &mut StdRng::seed_from_u64(99)).unwrap();
-            for i in 0..k {
-                let (d, s) = (fd.histogram()[i], fs.histogram()[i]);
+            for (i, (&d, &s)) in fd.iter().zip(fs.histogram()).enumerate() {
                 assert!(
                     (d - s).abs() <= 1e-9 * (1.0 + d.abs()),
                     "{strategy:?} cell {i}: dense {d} vs sparse {s}"
@@ -1162,31 +1083,75 @@ mod tests {
     }
 
     #[test]
-    fn matrix_hist_auto_routes_sparse_above_threshold() {
-        // k = 16 384 ≫ threshold: Auto must take the CSR + CG path, and a
-        // fit must complete without any dense k×k object (a 2 GiB
-        // allocation would OOM the test runner long before asserting).
-        let k = 16_384;
-        let graph = PolicyGraph::theta_line(k, 4).unwrap();
+    fn matrix_hist_plans_through_the_factored_path_at_every_size() {
+        // One matrix-mechanism path: tiny, mid-size and 2-D domains all
+        // plan one CSR mechanism over one cached factorization, and a fit
+        // comes back finite.
         let eps = Epsilon::new(1.0).unwrap();
-        let session = Session::new(&graph, eps).unwrap();
-        let spec = MechanismSpec::MatrixHist {
-            strategy: MatrixStrategyKind::Hierarchical,
-        };
-        let m = session.mechanism(&spec).unwrap();
-        assert_eq!(session.cache().stats().sparse_matrix_builds(), 1);
-        assert_eq!(session.cache().stats().pseudoinverse_builds(), 0);
-        let x = DataVector::new(Domain::one_dim(k), vec![2.0; k]).unwrap();
-        let est = m.fit(&x, &mut StdRng::seed_from_u64(5)).unwrap();
-        assert_eq!(est.histogram().len(), k);
-        assert!(est.histogram().iter().all(|v| v.is_finite()));
+        let domains = [
+            Domain::one_dim(2),
+            Domain::one_dim(16),
+            Domain::one_dim(512),
+            Domain::one_dim(513),
+            Domain::square(8),
+        ];
+        for strategy in MATRIX_KINDS {
+            for domain in &domains {
+                let policy = if domain.num_dims() == 1 {
+                    Policy::Theta1d { theta: 1 }
+                } else {
+                    Policy::Theta2d { theta: 1 }
+                };
+                let session = Session::with_policy(domain.clone(), policy, eps).unwrap();
+                let m = session
+                    .mechanism(&MechanismSpec::MatrixHist { strategy })
+                    .unwrap();
+                let stats = session.cache().stats();
+                let at = format!("{strategy:?} over {} cells", domain.size());
+                assert_eq!(stats.sparse_matrix_builds(), 1, "{at}");
+                assert_eq!(stats.sparse_factorizations(), 1, "{at}");
+                assert_eq!(stats.pseudoinverse_builds(), 0, "{at}");
+                let x = DataVector::new(domain.clone(), vec![2.0; domain.size()]).unwrap();
+                let est = m.fit(&x, &mut StdRng::seed_from_u64(5)).unwrap();
+                assert!(est.histogram().iter().all(|v| v.is_finite()), "{at}");
+                // For W = I the reconstruction x + A⁺η is the release
+                // I·x + I·A⁺η itself, bit for bit.
+                let k = domain.size();
+                let direct = SparseMatrixMechanism::new(
+                    SparseMatrix::identity(k),
+                    sparse_strategy(strategy, k),
+                )
+                .unwrap()
+                .run(x.counts(), eps.half(), &mut StdRng::seed_from_u64(5))
+                .unwrap();
+                assert_eq!(est.histogram(), &direct[..], "{at}");
+            }
+        }
+    }
+
+    #[test]
+    fn every_strategy_kind_plans_a_factored_gram_solver() {
+        // Small domains take the factored path too, so the budget cascade
+        // must keep a Cholesky factor (direct or Haar-rotated) for every
+        // strategy across the wire's domain range, never falling back to
+        // preconditioned CG.
+        let ks = (2..=600).chain([1023, 1024, 1025, 2048, 4095, 4096]);
+        for kind in MATRIX_KINDS {
+            for k in ks.clone() {
+                let solver = GramSolver::plan(
+                    &sparse_strategy(kind, k),
+                    SparseMatrixMechanism::DEFAULT_CG_OPTIONS,
+                );
+                assert!(solver.is_factored(), "{kind:?} at k = {k} fell back to CG");
+            }
+        }
     }
 
     #[test]
     fn matrix_hist_above_threshold_serves_from_one_factorization() {
-        // The factor-once contract at serving scale: Auto routes k =
-        // 16 384 sparse, the budget cascade factors the rotated Gram
-        // exactly once, and repeated releases spend zero CG iterations.
+        // The factor-once contract at serving scale: at k = 16 384 the
+        // budget cascade factors the rotated Gram exactly once, and
+        // repeated releases spend zero CG iterations.
         let k = 16_384;
         let graph = PolicyGraph::theta_line(k, 4).unwrap();
         let eps = Epsilon::new(1.0).unwrap();
@@ -1211,7 +1176,7 @@ mod tests {
     fn matrix_range_serves_w_neq_i_through_the_shared_factorization() {
         // The W ≠ I acceptance path: a dyadic range workload at
         // k = 16 384 over the hierarchical strategy, releases served
-        // from the reconstructed x̂ through the sparse path, with the
+        // from the reconstructed x̂ through the factored path, with the
         // factorization planned once and *shared* with the histogram
         // spec across repeated releases.
         let k = 16_384;
@@ -1223,7 +1188,6 @@ mod tests {
         };
         let m = session.mechanism(&range_spec).unwrap();
         assert_eq!(session.cache().stats().sparse_matrix_builds(), 1);
-        assert_eq!(session.cache().stats().pseudoinverse_builds(), 0);
         let x = DataVector::new(Domain::one_dim(k), vec![2.0; k]).unwrap();
         for seed in 0..3 {
             let est = m.fit(&x, &mut StdRng::seed_from_u64(seed)).unwrap();
@@ -1247,14 +1211,11 @@ mod tests {
     fn matrix_range_fit_answers_ranges_like_direct_releases() {
         // At reference scale, the Estimate a MatrixRange fit stores must
         // answer the workload exactly as W x̂ — and x̂ itself must match
-        // the dense-path reconstruction from equal seeds.
+        // a directly built mechanism's reconstruction from equal seeds.
         let k = 64;
         let graph = PolicyGraph::line(k).unwrap();
         let eps = Epsilon::new(0.8).unwrap();
         let session = Session::new(&graph, eps).unwrap();
-        session
-            .cache()
-            .set_matrix_mode(crate::plan::MatrixPathMode::ForceSparse);
         let spec = MechanismSpec::MatrixRange {
             strategy: MatrixStrategyKind::Hierarchical,
         };
@@ -1263,15 +1224,19 @@ mod tests {
             DataVector::new(Domain::one_dim(k), (0..k).map(|i| (i % 5) as f64).collect()).unwrap();
         let est = m.fit(&x, &mut StdRng::seed_from_u64(21)).unwrap();
         // Rebuild the same mechanism object directly and compare W x̂.
-        let mech =
-            sparse_matrix_range(session.cache(), MatrixStrategyKind::Hierarchical, k).unwrap();
+        let w = Workload::dyadic_ranges_1d(k);
+        let mech = factored_matrix(
+            session.cache(),
+            MatrixStrategyKind::Hierarchical,
+            w.to_sparse_matrix(),
+        )
+        .unwrap();
         let xhat = mech
             .reconstruct(x.counts(), eps.half(), &mut StdRng::seed_from_u64(21))
             .unwrap();
         for (a, b) in est.histogram().iter().zip(&xhat) {
             assert!((a - b).abs() <= 1e-9 * (1.0 + a.abs()), "{a} vs {b}");
         }
-        let w = Workload::dyadic_ranges_1d(k);
         let from_est = w.answer(est.histogram()).unwrap();
         let direct = mech.workload().matvec(&xhat).unwrap();
         for (a, b) in from_est.iter().zip(&direct) {

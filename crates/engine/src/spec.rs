@@ -56,9 +56,10 @@ pub enum MechanismSpec {
         theta: usize,
     },
     /// The ε-DP matrix mechanism on the histogram workload `I_k` with a
-    /// named strategy, routed dense or sparse by the plan cache's
-    /// [`MatrixPathMode`](crate::plan::MatrixPathMode) — above the
-    /// density/size threshold this is the CSR + CG path that serves
+    /// named strategy. Planned at every domain size through the one
+    /// factored path: CSR strategy, `AᵀA` factored once by the
+    /// strategy's shared gram solver and two triangular solves per
+    /// release (preconditioned CG if the factor budgets decline), up to
     /// k≈10⁵ domains.
     MatrixHist {
         /// Which strategy matrix answers the histogram.
@@ -66,10 +67,9 @@ pub enum MechanismSpec {
     },
     /// The ε-DP matrix mechanism serving a real W ≠ I workload: the
     /// dyadic 1-D range workload answered from the reconstructed domain
-    /// estimate `x̂ = x + A⁺η`. Served exclusively through the sparse
-    /// path (the dense mechanism stores only `W A⁺` and cannot
-    /// reconstruct `x̂`), sharing the strategy's cached gram solver with
-    /// [`MechanismSpec::MatrixHist`].
+    /// estimate `x̂ = x + A⁺η`. Served through the same factored path
+    /// as [`MechanismSpec::MatrixHist`], sharing the strategy's cached
+    /// gram solver with it.
     MatrixRange {
         /// Which strategy matrix answers the ranges.
         strategy: MatrixStrategyKind,

@@ -42,7 +42,7 @@ use crate::LinalgError;
 /// headroom: the default `1e-10` is comfortable for graph Laplacians and
 /// well-clustered strategy spectra (hierarchical/Haar, κ(A)² in the tens),
 /// while matching a dense Cholesky/pseudoinverse reference to ≤1e-9
-/// relative — as the engine's sparse-vs-dense equivalence tests do —
+/// relative — as the engine's dense-oracle equivalence tests do —
 /// calls for `tol = 1e-12`. Below ~`1e-14` the f64 recurrence stagnates
 /// and the iteration cap becomes the practical stop.
 ///
@@ -54,7 +54,7 @@ use crate::LinalgError;
 /// hierarchical strategies (observable via [`CgSolution::iterations`]).
 /// If a strategy is so ill-conditioned that the cap trips, the solver
 /// returns [`LinalgError::NoConvergence`] carrying the count — callers
-/// should treat that as "pick the dense path or a better preconditioner",
+/// should treat that as "factor the gram or pick a better preconditioner",
 /// not retry with a bigger cap.
 #[derive(Clone, Copy, Debug)]
 pub struct CgOptions {

@@ -38,8 +38,9 @@ use crate::MechanismError;
 /// How a matrix mechanism applies the strategy pseudoinverse per release.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PinvApply {
-    /// `W A⁺` was materialized dense up front (the k≲512 path); the tag
-    /// records which factorization derived it.
+    /// `W A⁺` was materialized dense up front (the dense
+    /// [`MatrixMechanism`](crate::MatrixMechanism)); the tag records
+    /// which factorization derived it.
     Materialized(PinvMethod),
     /// `A⁺ ỹ` is computed per release by matrix-free normal-equation CG
     /// (the O(nnz) path).

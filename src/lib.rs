@@ -87,10 +87,9 @@ pub mod prelude {
     };
     pub use blowfish_data::{dataset, DatasetId};
     pub use blowfish_engine::{
-        fit_cells, fit_cells_serial, parallel_map, Codec, FitCell, Fitted, MatrixPathMode,
-        MatrixStrategyKind, MechanismSpec, NetConfig, NetStats, Plan, PlanCache, Policy, Request,
-        Response, Service, Session, Task, TcpServer, TenantConfig, TenantStats, WireError,
-        PROTOCOL_VERSION, SPARSE_DOMAIN_THRESHOLD,
+        fit_cells, fit_cells_serial, parallel_map, Codec, FitCell, Fitted, MatrixStrategyKind,
+        MechanismSpec, NetConfig, NetStats, Plan, PlanCache, Policy, Request, Response, Service,
+        Session, Task, TcpServer, TenantConfig, TenantStats, WireError, PROTOCOL_VERSION,
     };
     pub use blowfish_mechanisms::{
         dawa_histogram, hierarchical_histogram, isotonic_non_decreasing, laplace_histogram,

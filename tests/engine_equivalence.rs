@@ -6,6 +6,8 @@
 //! two ε values each, plus the answering path (a fitted `Estimate` must
 //! answer ranges exactly like `answer_ranges_*` on the raw histogram).
 
+use blowfish_privacy::linalg::Matrix;
+use blowfish_privacy::mechanisms::{hierarchical_strategy, identity_strategy, wavelet_strategy};
 use blowfish_privacy::prelude::*;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -210,12 +212,12 @@ fn estimates_answer_like_the_answering_helpers() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// The sparse matrix-mechanism path (CSR strategy + CG pseudoinverse
-    /// application) must reproduce the dense materialized-A⁺ path to
+    /// The engine's one matrix-mechanism path (CSR strategy, factored
+    /// gram solve) must reproduce a dense materialized-A⁺ oracle to
     /// ≤1e-9 relative, for every strategy kind, any domain size, and any
     /// seed. Transformational equivalence makes this checkable: both
-    /// paths draw the identical Laplace vector from the same seed, so
-    /// the only divergence left is the solver.
+    /// draw the identical Laplace vector from the same seed, so the only
+    /// divergence left is the solver.
     #[test]
     fn matrix_hist_sparse_and_dense_paths_agree(
         k in 2usize..160,
@@ -232,15 +234,17 @@ proptest! {
         let eps = Epsilon::new(0.4).unwrap();
         let graph = PolicyGraph::line(k).unwrap();
 
-        let dense_session = Session::new(&graph, eps).unwrap();
-        dense_session.cache().set_matrix_mode(MatrixPathMode::ForceDense);
-        let sparse_session = Session::new(&graph, eps).unwrap();
-        sparse_session.cache().set_matrix_mode(MatrixPathMode::ForceSparse);
+        let dense_strategy = match kind {
+            MatrixStrategyKind::Identity => identity_strategy(k),
+            MatrixStrategyKind::Hierarchical => hierarchical_strategy(k),
+            MatrixStrategyKind::Wavelet => wavelet_strategy(k),
+        };
+        let oracle = MatrixMechanism::new(Matrix::identity(k), dense_strategy).unwrap();
+        let dense = oracle.run(x.counts(), eps, &mut StdRng::seed_from_u64(seed)).unwrap();
 
-        let dense = fit_via_engine(&dense_session, &spec, &x, eps, seed);
-        let sparse = fit_via_engine(&sparse_session, &spec, &x, eps, seed);
-        prop_assert_eq!(dense_session.cache().stats().pseudoinverse_builds(), 1);
-        prop_assert_eq!(sparse_session.cache().stats().sparse_matrix_builds(), 1);
+        let session = Session::new(&graph, eps).unwrap();
+        let sparse = fit_via_engine(&session, &spec, &x, eps, seed);
+        prop_assert_eq!(session.cache().stats().sparse_matrix_builds(), 1);
         for (d, s) in dense.iter().zip(&sparse) {
             prop_assert!(
                 (d - s).abs() <= 1e-9 * (1.0 + d.abs()),
