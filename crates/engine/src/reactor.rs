@@ -4,8 +4,7 @@
 //! configurable backlog — declared via direct `extern "C"` bindings in
 //! the same no-crates.io spirit as the workspace `shims/`.
 //!
-//! The pieces compose into the reactor serving model in
-//! [`net`](crate::net):
+//! The pieces compose into the TCP server in [`net`](crate::net):
 //!
 //! * [`Epoll`] — one readiness set per event loop. Level-triggered
 //!   (the default), so a connection with buffered input or pending
@@ -25,8 +24,8 @@
 //!   the socket is created raw and `listen(2)` gets the real number.
 //!
 //! Everything here is `target_os = "linux"`-only (gated at the module
-//! declaration); the portable `threads` serving model in `net` never
-//! touches it.
+//! declaration); off Linux, `TcpServer::bind` fails with
+//! `ErrorKind::Unsupported`.
 
 use std::io;
 use std::net::{SocketAddr, TcpListener};

@@ -1,8 +1,7 @@
 //! Property tests for the TCP framing state machine ([`LineSession`]):
-//! the per-connection engine both serving models (reactor event loops
-//! and thread-per-connection workers) drive, so its equivalence to the
-//! blocking codec path is what makes the models byte-identical on the
-//! wire.
+//! the per-connection engine the reactor's event loops drive, so its
+//! equivalence to the blocking codec path is what makes TCP replies
+//! byte-identical to the stdin/stdout transcript.
 //!
 //! * **chunk-boundary equivalence** — canonical request lines split
 //!   across arbitrary read-chunk boundaries, with the output drained in
