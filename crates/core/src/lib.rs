@@ -86,7 +86,7 @@ pub use spanner::{
 };
 pub use workload::{
     all_range_specs, random_range_specs, range_gram, range_gram_1d, sample_query, sample_query_mix,
-    QueryKind, QueryMix, RangeQuery, Workload,
+    Corner, QueryKind, QueryMix, RangeQuery, Workload,
 };
 
 /// One-stop imports for downstream crates and examples.

@@ -7,6 +7,9 @@
 //! marginals — plus random-range samplers for the Section 6 experiments and
 //! closed-form Gram matrices `WᵀW` used by the Appendix-A lower bounds.
 
+use std::fmt;
+use std::ops::{Deref, DerefMut};
+
 use rand::Rng;
 
 use blowfish_linalg::{Matrix, SparseMatrix, TripletBuilder};
@@ -15,30 +18,173 @@ use crate::domain::Domain;
 use crate::query::LinearQuery;
 use crate::CoreError;
 
+/// Dimensions a [`Corner`] holds without a heap allocation.
+const INLINE_DIMS: usize = 2;
+
+/// One corner of a [`RangeQuery`]: a coordinate per dimension. Up to
+/// two dimensions — every 1-D and 2-D policy domain — are stored
+/// inline, so building, cloning and dropping such a range never touches
+/// the heap; a corner of a `d > 2` domain ([`Domain::hypercube`],
+/// [`Domain::product`]) spills to a `Vec`. Derefs to `[usize]`.
+#[derive(Clone)]
+pub struct Corner(CornerRepr);
+
+#[derive(Clone)]
+enum CornerRepr {
+    Inline {
+        len: u8,
+        coords: [usize; INLINE_DIMS],
+    },
+    Heap(Vec<usize>),
+}
+
+impl Corner {
+    /// An empty (zero-dimensional) corner.
+    pub const fn new() -> Self {
+        Corner(CornerRepr::Inline {
+            len: 0,
+            coords: [0; INLINE_DIMS],
+        })
+    }
+
+    /// Appends the next dimension's coordinate.
+    pub fn push(&mut self, coord: usize) {
+        match &mut self.0 {
+            CornerRepr::Inline { len, coords } if usize::from(*len) < INLINE_DIMS => {
+                coords[usize::from(*len)] = coord;
+                *len += 1;
+            }
+            CornerRepr::Inline { coords, .. } => {
+                let mut heap = Vec::with_capacity(2 * INLINE_DIMS);
+                heap.extend_from_slice(coords);
+                heap.push(coord);
+                self.0 = CornerRepr::Heap(heap);
+            }
+            CornerRepr::Heap(heap) => heap.push(coord),
+        }
+    }
+
+    /// Whether the coordinates are stored inline (no heap allocation).
+    pub fn is_inline(&self) -> bool {
+        matches!(self.0, CornerRepr::Inline { .. })
+    }
+}
+
+impl Default for Corner {
+    fn default() -> Self {
+        Corner::new()
+    }
+}
+
+impl Deref for Corner {
+    type Target = [usize];
+
+    #[inline]
+    fn deref(&self) -> &[usize] {
+        match &self.0 {
+            CornerRepr::Inline { len, coords } => &coords[..usize::from(*len)],
+            CornerRepr::Heap(heap) => heap,
+        }
+    }
+}
+
+impl DerefMut for Corner {
+    #[inline]
+    fn deref_mut(&mut self) -> &mut [usize] {
+        match &mut self.0 {
+            CornerRepr::Inline { len, coords } => &mut coords[..usize::from(*len)],
+            CornerRepr::Heap(heap) => heap,
+        }
+    }
+}
+
+impl From<&[usize]> for Corner {
+    fn from(coords: &[usize]) -> Self {
+        if coords.len() > INLINE_DIMS {
+            return Corner(CornerRepr::Heap(coords.to_vec()));
+        }
+        coords.iter().copied().collect()
+    }
+}
+
+impl From<Vec<usize>> for Corner {
+    fn from(coords: Vec<usize>) -> Self {
+        if coords.len() > INLINE_DIMS {
+            Corner(CornerRepr::Heap(coords))
+        } else {
+            Corner::from(coords.as_slice())
+        }
+    }
+}
+
+impl FromIterator<usize> for Corner {
+    fn from_iter<I: IntoIterator<Item = usize>>(iter: I) -> Self {
+        let mut corner = Corner::new();
+        for coord in iter {
+            corner.push(coord);
+        }
+        corner
+    }
+}
+
+impl<'a> IntoIterator for &'a Corner {
+    type Item = &'a usize;
+    type IntoIter = std::slice::Iter<'a, usize>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl PartialEq for Corner {
+    fn eq(&self, other: &Corner) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for Corner {}
+
+impl PartialEq<Vec<usize>> for Corner {
+    fn eq(&self, other: &Vec<usize>) -> bool {
+        **self == **other
+    }
+}
+
+impl fmt::Debug for Corner {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
+    }
+}
+
 /// A multidimensional range query given by inclusive corner coordinates
 /// (`lo ≤ hi` per dimension) — the hypercube `q(l, r)` of Section 5.1.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RangeQuery {
     /// Bottom-left corner (inclusive).
-    pub lo: Vec<usize>,
+    pub lo: Corner,
     /// Top-right corner (inclusive).
-    pub hi: Vec<usize>,
+    pub hi: Corner,
 }
 
 impl RangeQuery {
     /// Creates a range, validating `lo ≤ hi` within `domain`.
-    pub fn new(domain: &Domain, lo: Vec<usize>, hi: Vec<usize>) -> Result<Self, CoreError> {
+    pub fn new(
+        domain: &Domain,
+        lo: impl Into<Corner>,
+        hi: impl Into<Corner>,
+    ) -> Result<Self, CoreError> {
+        let (lo, hi): (Corner, Corner) = (lo.into(), hi.into());
         if lo.len() != domain.num_dims() || hi.len() != domain.num_dims() {
             return Err(CoreError::DimensionMismatch {
                 expected: domain.num_dims(),
                 got: lo.len().max(hi.len()),
             });
         }
-        for d in 0..domain.num_dims() {
-            if lo[d] > hi[d] || hi[d] >= domain.dim(d) {
+        for (d, (&l, &r)) in lo.iter().zip(&hi).enumerate() {
+            if l > r || r >= domain.dim(d) {
                 return Err(CoreError::InvalidRange {
-                    l: lo[d],
-                    r: hi[d],
+                    l,
+                    r,
                     arity: domain.dim(d),
                 });
             }
@@ -48,7 +194,7 @@ impl RangeQuery {
 
     /// 1-D convenience constructor.
     pub fn one_dim(domain: &Domain, l: usize, r: usize) -> Result<Self, CoreError> {
-        RangeQuery::new(domain, vec![l], vec![r])
+        RangeQuery::new(domain, &[l][..], &[r][..])
     }
 
     /// Number of cells covered.
@@ -398,8 +544,8 @@ impl QueryMix {
 /// Samples one query of the given kind over `domain`.
 pub fn sample_query<R: Rng + ?Sized>(domain: &Domain, kind: QueryKind, rng: &mut R) -> RangeQuery {
     let d = domain.num_dims();
-    let mut lo = Vec::with_capacity(d);
-    let mut hi = Vec::with_capacity(d);
+    let mut lo = Corner::new();
+    let mut hi = Corner::new();
     match kind {
         QueryKind::Point => {
             for dim in 0..d {
@@ -474,8 +620,8 @@ pub fn all_range_specs(domain: &Domain) -> Vec<RangeQuery> {
     let mut out = Vec::with_capacity(total);
     let mut idx = vec![0usize; d];
     loop {
-        let lo: Vec<usize> = (0..d).map(|dim| per_dim[dim][idx[dim]].0).collect();
-        let hi: Vec<usize> = (0..d).map(|dim| per_dim[dim][idx[dim]].1).collect();
+        let lo = (0..d).map(|dim| per_dim[dim][idx[dim]].0).collect();
+        let hi = (0..d).map(|dim| per_dim[dim][idx[dim]].1).collect();
         out.push(RangeQuery { lo, hi });
         // Odometer over per-dimension choices.
         let mut dim = d;
@@ -503,8 +649,8 @@ pub fn random_range_specs<R: Rng + ?Sized>(
     let d = domain.num_dims();
     (0..count)
         .map(|_| {
-            let mut lo = Vec::with_capacity(d);
-            let mut hi = Vec::with_capacity(d);
+            let mut lo = Corner::new();
+            let mut hi = Corner::new();
             for dim in 0..d {
                 let k = domain.dim(dim);
                 let a = rng.gen_range(0..k);
@@ -644,6 +790,33 @@ mod tests {
         let q = r.to_linear_query(&d).unwrap();
         assert!(q.is_counting());
         assert_eq!(q.nnz(), 4);
+    }
+
+    #[test]
+    fn corners_stay_inline_up_to_two_dims() {
+        let mut c = Corner::new();
+        assert!(c.is_empty() && c.is_inline());
+        c.push(4);
+        c.push(7);
+        assert!(c.is_inline());
+        assert_eq!(&*c, &[4, 7]);
+        c.push(9);
+        assert!(!c.is_inline(), "a third dimension spills to the heap");
+        assert_eq!(c, vec![4, 7, 9]);
+        assert_eq!(format!("{c:?}"), "[4, 7, 9]");
+        // Conversions pick the same representation as pushes.
+        assert!(Corner::from(vec![1, 2]).is_inline());
+        assert!(!Corner::from(&[1, 2, 3][..]).is_inline());
+        let collected: Corner = (1..=3).collect();
+        assert_eq!(collected, Corner::from(vec![1, 2, 3]));
+        // A d > 2 range validates and enumerates its cells.
+        let cube = Domain::hypercube(4, 3).unwrap();
+        let r = RangeQuery::new(&cube, vec![0, 1, 2], vec![1, 1, 3]).unwrap();
+        assert!(!r.lo.is_inline());
+        assert_eq!(r.volume(), 4);
+        assert_eq!(r.cells(&cube).unwrap(), vec![6, 7, 22, 23]);
+        let sq = RangeQuery::new(&Domain::square(4), vec![1, 1], vec![2, 2]).unwrap();
+        assert!(sq.lo.is_inline() && sq.hi.is_inline());
     }
 
     #[test]

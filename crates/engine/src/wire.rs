@@ -33,7 +33,7 @@
 //! the [`MechanismSpec::id`] registry ids (e.g. `dp-laplace`,
 //! `theta-line-4-laplace`). Range queries give inclusive per-dimension
 //! bounds `lo..hi`, dimensions joined with `x` (`2..9` is 1-D,
-//! `0..3x1..4` is 2-D).
+//! `0..3x1..4` is 2-D). Tenant `data=` values must be finite.
 //!
 //! ## The typed codec
 //!
@@ -46,8 +46,28 @@
 //! `decode(encode_request(r))` round-trips). [`Codec::serve`] composes
 //! the three for one input line, and the legacy [`handle_line`] is a
 //! thin wrapper over a fresh stateless codec.
+//!
+//! ## Number rendering
+//!
+//! Every `f64` a reply or request line carries (answers, ε receipts,
+//! spend, tenant data) is written as the shortest decimal that parses
+//! back to the same value, byte-identical to Rust's `{}` formatting:
+//! plain positional digits with no exponent, exact ties between two
+//! nearest candidates rounded half up, and `NaN`, `inf`, `-inf`, `0`
+//! and `-0` for the special values. A private Ryū-derived writer
+//! produces these bytes without going through `core::fmt`.
+//!
+//! Decoding an `answer` line is one pass over its tokens, and its
+//! 1-D and 2-D ranges carry their bounds inline ([`Corner`]), so a
+//! range costs no heap allocation on the way in or out.
 
-use blowfish_core::{DataVector, Domain, Epsilon, PolicyGraph, RangeQuery};
+mod float;
+
+use std::fmt::Write as _;
+
+use blowfish_core::{Corner, DataVector, Domain, Epsilon, PolicyGraph, RangeQuery};
+
+use float::push_f64;
 
 use crate::service::{self, Service, TenantConfig};
 use crate::spec::{MechanismSpec, Task};
@@ -136,9 +156,9 @@ pub enum Request {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RawRange {
     /// Lower bound per dimension.
-    pub lo: Vec<usize>,
+    pub lo: Corner,
     /// Upper bound per dimension (inclusive).
-    pub hi: Vec<usize>,
+    pub hi: Corner,
 }
 
 impl RawRange {
@@ -296,49 +316,48 @@ impl Codec {
         if line.is_empty() || line.starts_with('#') {
             return Ok(None);
         }
-        let mut tokens = line.split_whitespace();
-        let command = tokens.next().expect("non-empty line");
-        let rest: Vec<&str> = tokens.collect();
+        let mut rest = line.split_whitespace();
+        let command = rest.next().expect("non-empty line");
         let request = match command {
             "hello" => Request::Hello {
-                version: rest.first().map(|v| v.to_string()),
+                version: rest.next().map(str::to_string),
             },
             "help" => Request::Help,
             "quit" => Request::Quit,
-            "use" => match rest.as_slice() {
-                [tenant] if !tenant.contains('=') => Request::Use {
+            "use" => match (rest.next(), rest.next()) {
+                (Some(tenant), None) if !tenant.contains('=') => Request::Use {
                     tenant: tenant.to_string(),
                 },
                 _ => return Err(bad("use needs exactly one tenant id")),
             },
-            "tenant" => self.decode_tenant(&rest)?,
+            "tenant" => self.decode_tenant(rest)?,
             "plan" => {
-                let (tenant, args) = self.tenant_and_args(&rest, "plan")?;
+                let (tenant, args) = self.tenant_and_args(rest, "plan")?;
                 Request::Plan {
                     tenant,
-                    task: parse_task(arg(&args, "task").unwrap_or("hist"))?,
+                    task: parse_task(arg(args, "task").unwrap_or("hist"))?,
                 }
             }
             "fit" => {
-                let (tenant, args) = self.tenant_and_args(&rest, "fit")?;
-                let handle = arg(&args, "as")
+                let (tenant, args) = self.tenant_and_args(rest, "fit")?;
+                let handle = arg(args.clone(), "as")
                     .ok_or_else(|| bad_err("fit needs as=<handle>"))?
                     .to_string();
-                let spec = match arg(&args, "mech") {
+                let spec = match arg(args.clone(), "mech") {
                     Some(mech) => Some(
                         MechanismSpec::parse(mech)
                             .ok_or_else(|| bad_err(&format!("unknown mechanism id {mech}")))?,
                     ),
                     None => None,
                 };
-                let task = parse_task(arg(&args, "task").unwrap_or("hist"))?;
+                let task = parse_task(arg(args.clone(), "task").unwrap_or("hist"))?;
                 // Seeds are mandatory, never defaulted: a fixed implicit
                 // seed would make every unseeded release reuse one noise
                 // stream — duplicate releases that still burn budget, and
                 // fully predictable noise. The caller owns seed policy
                 // (fresh entropy in production, fixed seeds for
                 // reproducibility).
-                let seed_token = arg(&args, "seed").ok_or_else(|| bad_err("fit needs seed=<n>"))?;
+                let seed_token = arg(args, "seed").ok_or_else(|| bad_err("fit needs seed=<n>"))?;
                 let seed = seed_token
                     .parse()
                     .map_err(|_| bad_err(&format!("bad seed {seed_token}")))?;
@@ -351,15 +370,29 @@ impl Codec {
                 }
             }
             "answer" => {
-                let (tenant, args) = self.tenant_and_args(&rest, "answer")?;
-                let handle = arg(&args, "from")
+                let (tenant, args) = self.tenant_and_args(rest, "answer")?;
+                // One pass: the first `from=` names the handle and every
+                // token without `=` is a range. A missing `from=` is
+                // reported ahead of a malformed range.
+                let mut handle = None;
+                let mut ranges = Vec::with_capacity(range_capacity(line));
+                let mut bad_range = None;
+                for token in args {
+                    if token.contains('=') {
+                        handle = handle.or(token.strip_prefix("from="));
+                    } else if bad_range.is_none() {
+                        match parse_raw_range(token) {
+                            Ok(range) => ranges.push(range),
+                            Err(e) => bad_range = Some(e),
+                        }
+                    }
+                }
+                let handle = handle
                     .ok_or_else(|| bad_err("answer needs from=<handle>"))?
                     .to_string();
-                let ranges = args
-                    .iter()
-                    .filter(|t| !t.contains('='))
-                    .map(|t| parse_raw_range(t))
-                    .collect::<Result<Vec<RawRange>, WireError>>()?;
+                if let Some(e) = bad_range {
+                    return Err(e);
+                }
                 if ranges.is_empty() {
                     return Err(bad("answer needs at least one <lo>..<hi> range"));
                 }
@@ -370,7 +403,7 @@ impl Codec {
                 }
             }
             "stats" => Request::Stats {
-                tenant: rest.first().map(|s| s.to_string()),
+                tenant: rest.next().map(str::to_string),
             },
             other => {
                 return Err(WireError::UnknownCommand {
@@ -403,13 +436,22 @@ impl Codec {
                     spent,
                     remaining,
                 } => {
-                    format!("ok fit {handle} charged={charged} spent={spent} remaining={remaining}")
+                    let mut out = format!("ok fit {handle} charged=");
+                    push_f64(&mut out, *charged);
+                    out.push_str(" spent=");
+                    push_f64(&mut out, *spent);
+                    out.push_str(" remaining=");
+                    push_f64(&mut out, *remaining);
+                    out
                 }
                 service::Response::Answers { values } => {
-                    let mut out = format!("ok answer {}", values.len());
-                    for v in values {
+                    // ~24 bytes covers a typical noisy answer, so the
+                    // line is allocated once.
+                    let mut out = String::with_capacity(24 * (values.len() + 1));
+                    let _ = write!(out, "ok answer {}", values.len());
+                    for &v in values {
                         out.push(' ');
-                        out.push_str(&format!("{v}"));
+                        push_f64(&mut out, v);
                     }
                     out
                 }
@@ -439,10 +481,11 @@ impl Codec {
                         tenants.len()
                     );
                     for t in tenants {
-                        out.push_str(&format!(
-                            " | {} spent={} remaining={} fits={} estimates={}",
-                            t.id, t.spent, t.remaining, t.fits, t.estimates
-                        ));
+                        let _ = write!(out, " | {} spent=", t.id);
+                        push_f64(&mut out, t.spent);
+                        out.push_str(" remaining=");
+                        push_f64(&mut out, t.remaining);
+                        let _ = write!(out, " fits={} estimates={}", t.fits, t.estimates);
                     }
                     out
                 }
@@ -470,19 +513,18 @@ impl Codec {
                 config,
                 policy_token,
             } => {
-                let data = config
-                    .data
-                    .counts()
-                    .iter()
-                    .map(|v| format!("{v}"))
-                    .collect::<Vec<String>>()
-                    .join(",");
-                format!(
-                    "tenant {} policy={policy_token} eps={} budget={} data={data}",
-                    config.id,
-                    config.eps.value(),
-                    config.budget.value()
-                )
+                let mut out = format!("tenant {} policy={policy_token} eps=", config.id);
+                push_f64(&mut out, config.eps.value());
+                out.push_str(" budget=");
+                push_f64(&mut out, config.budget.value());
+                out.push_str(" data=");
+                for (i, &v) in config.data.counts().iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    push_f64(&mut out, v);
+                }
+                out
             }
             Request::Plan { tenant, task } => {
                 format!("plan {tenant} task={}", task_token(*task))
@@ -510,13 +552,10 @@ impl Codec {
             } => {
                 let mut out = format!("answer {tenant} from={handle}");
                 for r in ranges {
-                    out.push(' ');
-                    let dims: Vec<String> =
-                        r.lo.iter()
-                            .zip(&r.hi)
-                            .map(|(lo, hi)| format!("{lo}..{hi}"))
-                            .collect();
-                    out.push_str(&dims.join("x"));
+                    for (d, (lo, hi)) in r.lo.iter().zip(&r.hi).enumerate() {
+                        let sep = if d == 0 { ' ' } else { 'x' };
+                        let _ = write!(out, "{sep}{lo}..{hi}");
+                    }
                 }
                 out
             }
@@ -558,13 +597,14 @@ impl Codec {
     /// `key=value` arguments), the connection's `use` default applies.
     fn tenant_and_args<'a>(
         &self,
-        rest: &[&'a str],
+        rest: Tokens<'a>,
         command: &str,
-    ) -> Result<(String, Vec<&'a str>), WireError> {
-        match rest.split_first() {
-            Some((id, args)) if !id.contains('=') => Ok((id.to_string(), args.to_vec())),
+    ) -> Result<(String, Tokens<'a>), WireError> {
+        let mut args = rest.clone();
+        match args.next() {
+            Some(id) if !id.contains('=') => Ok((id.to_string(), args)),
             _ => match &self.default_tenant {
-                Some(tenant) => Ok((tenant.clone(), rest.to_vec())),
+                Some(tenant) => Ok((tenant.clone(), rest)),
                 None => Err(bad(&format!(
                     "{command} needs a tenant id (or `use <tenant>` first)"
                 ))),
@@ -572,18 +612,21 @@ impl Codec {
         }
     }
 
-    fn decode_tenant(&self, rest: &[&str]) -> Result<Request, WireError> {
+    fn decode_tenant(&self, rest: Tokens<'_>) -> Result<Request, WireError> {
         let (id, args) = self.tenant_and_args(rest, "tenant")?;
-        let policy_token = arg(&args, "policy")
+        let policy_token = arg(args.clone(), "policy")
             .ok_or_else(|| bad_err("tenant needs policy=<spec>"))?
             .to_string();
         let graph = parse_policy(&policy_token)?;
-        let eps = parse_epsilon(arg(&args, "eps").ok_or_else(|| bad_err("tenant needs eps=<ε>"))?)?;
-        let budget =
-            parse_epsilon(arg(&args, "budget").ok_or_else(|| bad_err("tenant needs budget=<ε>"))?)?;
+        let eps = parse_epsilon(
+            arg(args.clone(), "eps").ok_or_else(|| bad_err("tenant needs eps=<ε>"))?,
+        )?;
+        let budget = parse_epsilon(
+            arg(args.clone(), "budget").ok_or_else(|| bad_err("tenant needs budget=<ε>"))?,
+        )?;
         let data = parse_data(
             graph.domain(),
-            arg(&args, "data").ok_or_else(|| bad_err("tenant needs data=<v,v,…|uniform:<v>>"))?,
+            arg(args, "data").ok_or_else(|| bad_err("tenant needs data=<v,v,…|uniform:<v>>"))?,
         )?;
         Ok(Request::Tenant {
             config: Box::new(TenantConfig {
@@ -736,10 +779,12 @@ fn bad_err(what: &str) -> WireError {
     bad(what)
 }
 
+/// A request line's tokens after the verb, split on `char::is_whitespace`.
+type Tokens<'a> = std::str::SplitWhitespace<'a>;
+
 /// Looks up `key=` in the argument tokens.
-fn arg<'a>(args: &[&'a str], key: &str) -> Option<&'a str> {
-    args.iter()
-        .find_map(|t| t.strip_prefix(key).and_then(|r| r.strip_prefix('=')))
+fn arg<'a>(mut args: Tokens<'a>, key: &str) -> Option<&'a str> {
+    args.find_map(|t| t.strip_prefix(key).and_then(|r| r.strip_prefix('=')))
 }
 
 fn parse_task(token: &str) -> Result<Task, WireError> {
@@ -832,40 +877,60 @@ fn parse_policy(token: &str) -> Result<PolicyGraph, WireError> {
     Ok(graph?)
 }
 
+/// Parses tenant data. Counts must be finite: a `NaN` or infinite cell
+/// would poison every answer (and still be charged ε), so it is a bad
+/// request before anything is onboarded.
 fn parse_data(domain: &Domain, token: &str) -> Result<DataVector, WireError> {
+    let finite = |v: f64, what: &str, s: &str| {
+        if v.is_finite() {
+            Ok(v)
+        } else {
+            Err(bad(&format!("{what} {s} is not finite")))
+        }
+    };
     let counts: Vec<f64> = if let Some(v) = token.strip_prefix("uniform:") {
         let fill: f64 = v
             .parse()
             .map_err(|_| bad(&format!("bad uniform fill {v}")))?;
-        vec![fill; domain.size()]
+        vec![finite(fill, "uniform fill", v)?; domain.size()]
     } else {
         token
             .split(',')
-            .map(|s| s.parse().map_err(|_| bad(&format!("bad data value {s}"))))
+            .map(|s| {
+                let v = s.parse().map_err(|_| bad(&format!("bad data value {s}")))?;
+                finite(v, "data value", s)
+            })
             .collect::<Result<Vec<f64>, WireError>>()?
     };
     Ok(DataVector::new(domain.clone(), counts)?)
 }
 
+/// Capacity for an `answer` line's ranges: one per space-separated
+/// token, capped at one per 5 bytes (the shortest range `a..b` plus its
+/// separator) so that runs of spaces cannot inflate it.
+fn range_capacity(line: &str) -> usize {
+    let spaces = line.bytes().filter(|&b| b == b' ').count();
+    spaces.min(line.len() / 5)
+}
+
 /// Parses `lo..hi` (1-D) or dims joined with `x` into raw bounds (domain
 /// validation happens at serve time).
 fn parse_raw_range(token: &str) -> Result<RawRange, WireError> {
-    let mut lo = Vec::new();
-    let mut hi = Vec::new();
+    let bound = |s: &str| -> Result<usize, WireError> {
+        s.parse().map_err(|_| bad(&format!("bad range bound {s}")))
+    };
+    let mut range = RawRange {
+        lo: Corner::new(),
+        hi: Corner::new(),
+    };
     for dim in token.split('x') {
         let (a, b) = dim
             .split_once("..")
             .ok_or_else(|| bad_err(&format!("bad range {token} (want lo..hi)")))?;
-        lo.push(
-            a.parse()
-                .map_err(|_| bad(&format!("bad range bound {a}")))?,
-        );
-        hi.push(
-            b.parse()
-                .map_err(|_| bad(&format!("bad range bound {b}")))?,
-        );
+        range.lo.push(bound(a)?);
+        range.hi.push(bound(b)?);
     }
-    Ok(RawRange { lo, hi })
+    Ok(range)
 }
 
 #[cfg(test)]
@@ -1109,6 +1174,123 @@ mod tests {
         let wire_request = Request::from(&engine_request);
         let reply = ok(&service, &Codec::encode_request(&wire_request));
         assert!(reply.starts_with("ok fit w charged=0.5"), "{reply}");
+    }
+
+    #[test]
+    fn non_finite_tenant_data_is_a_bad_request() {
+        let service = Service::new();
+        let e = err(
+            &service,
+            "tenant t policy=line:4 eps=1 budget=10 data=1,NaN,inf,2",
+        );
+        assert_eq!(e, "err bad request: data value NaN is not finite");
+        let e = err(
+            &service,
+            "tenant t policy=line:4 eps=1 budget=10 data=1,2,-inf,2",
+        );
+        assert_eq!(e, "err bad request: data value -inf is not finite");
+        let e = err(
+            &service,
+            "tenant t policy=line:4 eps=1 budget=10 data=uniform:-inf",
+        );
+        assert_eq!(e, "err bad request: uniform fill -inf is not finite");
+        // Nothing was onboarded, so nothing can be charged.
+        let e = err(&service, "fit t as=h seed=1");
+        assert!(e.starts_with("err unknown tenant"), "{e}");
+        ok(
+            &service,
+            "tenant t policy=line:4 eps=1 budget=10 data=1,0.5,-2,2",
+        );
+    }
+
+    #[test]
+    fn decoded_ranges_keep_one_and_two_dims_inline() {
+        let request = Codec::new()
+            .decode("answer t from=h 0..3 1..2x0..1")
+            .unwrap()
+            .unwrap();
+        let Request::Answer { ranges, .. } = request else {
+            panic!("not an answer: {request:?}");
+        };
+        assert_eq!(ranges.len(), 2);
+        assert_eq!((&*ranges[0].lo, &*ranges[0].hi), (&[0][..], &[3][..]));
+        assert_eq!((&*ranges[1].lo, &*ranges[1].hi), (&[1, 0][..], &[2, 1][..]));
+        for r in &ranges {
+            assert!(r.lo.is_inline() && r.hi.is_inline(), "{r:?}");
+        }
+    }
+
+    #[test]
+    fn three_dimensional_ranges_use_heap_corners_and_round_trip() {
+        let domain = Domain::hypercube(4, 3).unwrap();
+        let range = RawRange {
+            lo: vec![0, 1, 2].into(),
+            hi: vec![3, 1, 2].into(),
+        };
+        assert!(!range.lo.is_inline() && !range.hi.is_inline());
+        let query = range.clone().into_query(&domain).unwrap();
+        assert_eq!(query.volume(), 4);
+        let request = Request::Answer {
+            tenant: "cube".into(),
+            handle: "h".into(),
+            ranges: vec![range.clone(), range],
+        };
+        let line = Codec::encode_request(&request);
+        assert_eq!(line, "answer cube from=h 0..3x1..1x2..2 0..3x1..1x2..2");
+        let Some(Request::Answer { ranges, .. }) = Codec::new().decode(&line).unwrap() else {
+            panic!("{line} did not decode to an answer");
+        };
+        assert_eq!(ranges.len(), 2);
+        assert_eq!(ranges[0].lo, vec![0, 1, 2]);
+        assert_eq!(ranges[1].hi, vec![3, 1, 2]);
+        assert_eq!(ranges[0].clone().into_query(&domain).unwrap(), query);
+    }
+
+    #[test]
+    fn range_replies_are_byte_stable() {
+        let service = Service::new();
+        ok(
+            &service,
+            "tenant t policy=line:4 eps=1 budget=10 data=1,2,3,4",
+        );
+        ok(&service, "fit t as=h seed=1");
+        assert_eq!(
+            err(&service, "answer t from=h 0..1x0..1x0..1"),
+            "err core error: expected 1 dimensions, got 3"
+        );
+        // `str::parse::<usize>` accepts a leading `+`.
+        assert_eq!(
+            ok(&service, "answer t from=h 0..+2"),
+            ok(&service, "answer t from=h 0..2")
+        );
+        assert_eq!(
+            err(&service, "answer t from=h 0..1 2..y"),
+            "err bad request: bad range bound y"
+        );
+        assert_eq!(
+            err(&service, "answer t from=h 0..1 2-3"),
+            "err bad request: bad range 2-3 (want lo..hi)"
+        );
+        // A missing handle is reported ahead of a malformed range.
+        assert_eq!(
+            err(&service, "answer t 2-3"),
+            "err bad request: answer needs from=<handle>"
+        );
+    }
+
+    #[test]
+    fn unicode_whitespace_separates_tokens() {
+        let service = Service::new();
+        ok(
+            &service,
+            "tenant t policy=line:4 eps=1 budget=10 data=1,2,3,4",
+        );
+        ok(&service, "fit t as=h seed=1");
+        let spaced = ok(&service, "answer t from=h 0..1 2..3");
+        for sep in ["\t", "\x0b", "\u{3000}"] {
+            let line = format!("answer{sep}t{sep}from=h{sep}0..1{sep}2..3");
+            assert_eq!(ok(&service, &line), spaced, "separator {sep:?}");
+        }
     }
 
     #[test]

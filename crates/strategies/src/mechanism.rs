@@ -121,39 +121,29 @@ impl Estimate {
     /// [`Estimate::answer_many`], so the two entry points cannot diverge.
     #[inline]
     fn answer_1d(&self, k: usize, q: &RangeQuery) -> Result<f64, StrategyError> {
-        if q.lo.len() != 1 || q.hi.len() != 1 || q.lo[0] > q.hi[0] || q.hi[0] >= k {
-            return Err(StrategyError::BadQuery {
+        // One slice pattern per corner: each corner deref is a branch.
+        match (&*q.lo, &*q.hi) {
+            (&[l], &[h]) if l <= h && h < k => {
+                Ok(DataVector::range_from_prefix(&self.prefix, l, h))
+            }
+            _ => Err(StrategyError::BadQuery {
                 what: "1-D range answering requires 1-D in-range specs",
-            });
+            }),
         }
-        Ok(DataVector::range_from_prefix(
-            &self.prefix,
-            q.lo[0],
-            q.hi[0],
-        ))
     }
 
     /// Validates and answers one 2-D query against the summed-area table
     /// (shared body, see [`Estimate::answer_1d`]).
     #[inline]
     fn answer_2d(&self, rows: usize, cols: usize, q: &RangeQuery) -> Result<f64, StrategyError> {
-        if q.lo.len() != 2
-            || q.hi.len() != 2
-            || q.lo[0] > q.hi[0]
-            || q.lo[1] > q.hi[1]
-            || q.hi[0] >= rows
-            || q.hi[1] >= cols
-        {
-            return Err(StrategyError::BadQuery {
+        match (&*q.lo, &*q.hi) {
+            (&[l0, l1], &[h0, h1]) if l0 <= h0 && l1 <= h1 && h0 < rows && h1 < cols => Ok(
+                DataVector::range_from_prefix_2d(&self.prefix, cols, (l0, l1), (h0, h1)),
+            ),
+            _ => Err(StrategyError::BadQuery {
                 what: "2-D range answering requires 2-D in-range specs",
-            });
+            }),
         }
-        Ok(DataVector::range_from_prefix_2d(
-            &self.prefix,
-            cols,
-            (q.lo[0], q.lo[1]),
-            (q.hi[0], q.hi[1]),
-        ))
     }
 
     /// Answers a batch of range queries with the dimensionality dispatch
@@ -310,7 +300,7 @@ mod tests {
 
         // A bad query anywhere in the batch is an error, same as answer().
         let mut bad = RangeQuery::one_dim(&d, 1, 5).unwrap();
-        bad.lo = vec![9];
+        bad.lo = vec![9].into();
         assert!(est.answer_many(&[bad]).is_err());
         // Dimension mismatch rejected through the batched path too.
         assert!(est.answer_many(&specs2).is_err());
@@ -323,14 +313,14 @@ mod tests {
         let d = Domain::one_dim(8);
         let est = Estimate::new(&d, vec![1.0; 8]).unwrap();
         let mut q = RangeQuery::one_dim(&d, 1, 5).unwrap();
-        q.lo = vec![6];
+        q.lo = vec![6].into();
         assert!(est.answer(&q).is_err());
         let d2 = Domain::square(4);
         let est2 = Estimate::new(&d2, vec![1.0; 16]).unwrap();
         let mut q2 = RangeQuery::new(&d2, vec![0, 1], vec![2, 3]).unwrap();
-        q2.lo = vec![0, 4];
+        q2.lo = vec![0, 4].into();
         assert!(est2.answer(&q2).is_err());
-        q2.lo = vec![3, 1];
+        q2.lo = vec![3, 1].into();
         assert!(est2.answer(&q2).is_err());
     }
 }
