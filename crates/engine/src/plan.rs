@@ -97,9 +97,10 @@ impl PlanStats {
         self.sparse_factorization.load(Ordering::Relaxed)
     }
 
-    /// Shared gram solvers whose budget cascade declined to factor and
-    /// fell back to (IC(0)- or Jacobi-preconditioned) CG. A nonzero
-    /// count is not an error — it is the typed no-regression path.
+    /// Shared gram solvers whose budget cascade declined to factor (no
+    /// direct or Haar-rotated Cholesky fit its budgets) and fell back to
+    /// matrix-free Jacobi-preconditioned CG. A nonzero count is not an
+    /// error — it is the typed fallback that keeps any strategy served.
     pub fn cg_fallbacks(&self) -> usize {
         self.cg_fallback.load(Ordering::Relaxed)
     }

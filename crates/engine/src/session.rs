@@ -1129,13 +1129,10 @@ mod tests {
         }
     }
 
-    #[test]
-    fn every_strategy_kind_plans_a_factored_gram_solver() {
-        // Small domains take the factored path too, so the budget cascade
-        // must keep a Cholesky factor (direct or Haar-rotated) for every
-        // strategy across the wire's domain range, never falling back to
-        // preconditioned CG.
-        let ks = (2..=600).chain([1023, 1024, 1025, 2048, 4095, 4096]);
+    /// Asserts that every registered strategy kind plans a cached
+    /// Cholesky factor (direct or Haar-rotated) at each domain size in
+    /// `ks`, never falling back to CG.
+    fn assert_every_kind_factors(ks: impl Iterator<Item = usize> + Clone) {
         for kind in MATRIX_KINDS {
             for k in ks.clone() {
                 let solver = GramSolver::plan(
@@ -1145,6 +1142,24 @@ mod tests {
                 assert!(solver.is_factored(), "{kind:?} at k = {k} fell back to CG");
             }
         }
+    }
+
+    #[test]
+    fn every_strategy_kind_plans_a_factored_gram_solver() {
+        // Small domains take the factored path too (the wire accepts
+        // `line:1`), so the cascade must keep a factor for every strategy
+        // across the wire's domain range.
+        assert_every_kind_factors((1..=600).chain([1023, 1024, 1025, 2048, 4095, 4096]));
+    }
+
+    #[test]
+    #[ignore = "plans ~12k solvers up to k = 65 536; run in release with --ignored"]
+    fn every_strategy_kind_factors_at_every_wire_domain_size() {
+        // Every wire domain size plus the large-domain sizes the engine
+        // serves: the evidence that the two natural-order factor rungs
+        // cover every registered strategy, leaving Jacobi CG as a
+        // fallback that registered traffic never takes.
+        assert_every_kind_factors((1..=4096).chain([8192, 16_384, 65_536]));
     }
 
     #[test]

@@ -29,19 +29,13 @@ pub mod sparse;
 pub mod sparse_cholesky;
 pub mod svd;
 
-pub use cg::{
-    conjugate_gradient, solve_gram_system, solve_gram_system_with, solve_normal_equations,
-    solve_normal_equations_with, CgOptions, CgSolution, CgWorkspace, GramPreconditioner,
-};
+pub use cg::{conjugate_gradient, solve_gram_system, CgOptions, CgSolution, CgWorkspace};
 pub use cholesky::Cholesky;
 pub use dense::{add_vec, axpy, dot, norm1, norm2, norm_inf, sub_vec, ColView, Matrix};
 pub use eigen::{eigenvalues, eigh, jacobi_eigh, sqrt_psd, SymmetricEigen};
 pub use lu::Lu;
 pub use sparse::{SparseMatrix, TripletBuilder};
-pub use sparse_cholesky::{
-    dyadic_haar_basis, incomplete_cholesky0, rcm_ordering, CholeskyOrdering, SparseCholesky,
-    SymbolicCholesky,
-};
+pub use sparse_cholesky::{dyadic_haar_basis, SparseCholesky, SymbolicCholesky};
 pub use svd::{
     is_pseudoinverse, pseudoinverse, pseudoinverse_eigen, pseudoinverse_with_method, rank,
     singular_values, PinvMethod,

@@ -29,7 +29,7 @@
 //! like incidence matrices, but a dense trap for strategies with a full
 //! row (e.g. the hierarchical root); solvers that only need `AᵀA x`
 //! should stay matrix-free via the paired `matvec`/`matvec_transpose`
-//! ([`crate::solve_normal_equations`] does exactly this).
+//! ([`crate::solve_gram_system`] does exactly this).
 
 use crate::dense::Matrix;
 use crate::LinalgError;
@@ -281,7 +281,7 @@ impl SparseMatrix {
     /// bounded-row-degree inputs (incidence matrices, θ-spanner rows), but
     /// a strategy with one dense row (the hierarchical root, the Haar
     /// total row) makes `AᵀA` itself dense — for those, apply the normal
-    /// equations matrix-free via [`crate::solve_normal_equations`]
+    /// equations matrix-free via [`crate::solve_gram_system`]
     /// instead of materializing this product.
     pub fn gram(&self) -> SparseMatrix {
         let mut b = TripletBuilder::new(self.cols, self.cols);

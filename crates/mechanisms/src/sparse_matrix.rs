@@ -6,11 +6,13 @@
 //! plans with — identity, binary hierarchical, Haar — is O(k log k)
 //! sparse, and for a full-column-rank strategy the pseudoinverse
 //! *application* factors as `A⁺ ỹ = (AᵀA)⁻¹ Aᵀ ỹ`: a normal-equation
-//! solve. [`SparseMatrixMechanism`] keeps `W` and `A` in CSR and runs one
-//! Jacobi-preconditioned CG solve per release
-//! ([`blowfish_linalg::solve_normal_equations`], matrix-free — `AᵀA` of a
-//! hierarchical strategy is dense and is never formed), so peak memory is
-//! O(nnz) and the domain ceiling lifts to k≈10⁵.
+//! solve. [`SparseMatrixMechanism`] keeps `W` and `A` in CSR and applies
+//! `A⁺` through a plan-time [`GramSolver`]: a sparse Cholesky factor of
+//! `AᵀA` (directly, or after a Haar-basis rotation that keeps the Gram of
+//! a hierarchical strategy sparse), so each release is two O(nnz(L))
+//! triangular solves. A strategy neither rung can factor is served by
+//! matrix-free Jacobi CG ([`blowfish_linalg::solve_gram_system`]). Peak
+//! memory stays O(nnz) and the domain ceiling lifts to k≈10⁵.
 //!
 //! The sparse strategy constructors ([`hierarchical_strategy_sparse`]
 //! et al.) emit *exactly* the rows of their dense counterparts, in the
@@ -25,9 +27,8 @@ use std::sync::{Arc, Mutex};
 use rand::Rng;
 
 use blowfish_linalg::{
-    dyadic_haar_basis, incomplete_cholesky0, solve_gram_system_with, CgOptions, CgWorkspace,
-    CholeskyOrdering, GramPreconditioner, LinalgError, PinvMethod, SparseCholesky, SparseMatrix,
-    SymbolicCholesky, TripletBuilder,
+    dyadic_haar_basis, solve_gram_system, CgOptions, CgWorkspace, LinalgError, PinvMethod,
+    SparseCholesky, SparseMatrix, SymbolicCholesky, TripletBuilder,
 };
 
 use blowfish_core::Epsilon;
@@ -66,68 +67,46 @@ impl std::fmt::Display for PinvApply {
 /// `GRAM_COST_FACTOR · (nnz(A) + k)` — a constant number of strategy
 /// sweeps. Hierarchical/wavelet strategies blow this at large k (their
 /// coarse rows make `AᵀA` structurally dense), which routes them to the
-/// Haar-rotation branch instead of a doomed Gram product.
+/// Haar-rotation rung instead of a doomed Gram product.
 pub const GRAM_COST_FACTOR: usize = 32;
 
 /// Factor-fill budget: a complete factorization is kept only while the
 /// **symbolic** pass predicts `nnz(L) ≤ FILL_GROWTH_FACTOR ·
-/// nnz(lower(G))`. Past that the factor would break the O(nnz) memory
-/// story, so the solver downgrades to IC(0)-preconditioned CG (and to
-/// plain Jacobi CG if IC(0) breaks down) — no input ever regresses past
-/// the pre-factorization path.
+/// nnz(lower(G))` in natural order. Past that the factor would break the
+/// O(nnz) memory story, so the solver moves on to the next rung of its
+/// cascade (the Haar rotation, then Jacobi CG).
 pub const FILL_GROWTH_FACTOR: usize = 8;
-
-/// Reusable per-solve scratch: the CG workspace plus two column-space
-/// buffers for the factored path. Lives behind a `try_lock` so
-/// concurrent releases never serialize — a contended solve just runs
-/// with a fresh (allocating) scratch.
-#[derive(Debug, Default)]
-struct SolveScratch {
-    ws: CgWorkspace,
-    a: Vec<f64>,
-    b: Vec<f64>,
-}
-
-fn ensure_len(buf: &mut Vec<f64>, len: usize) {
-    if buf.len() != len {
-        buf.clear();
-        buf.resize(len, 0.0);
-    }
-}
 
 #[derive(Debug)]
 enum GramPath {
-    /// `P G Pᵀ = L Lᵀ` held ready; `basis = Some(Q)` means the factored
+    /// `G = L Lᵀ` held ready; `basis = Some(Q)` means the factored
     /// operator is `(AQ)ᵀ(AQ)` and solves run through the congruence
     /// `x = Q z`, `(AQ)ᵀ(AQ) z = Qᵀ b`.
     Factored {
         basis: Option<SparseMatrix>,
         chol: SparseCholesky,
     },
-    /// Matrix-free PCG with a plan-time-cached Jacobi diagonal, upgraded
-    /// to an IC(0) preconditioner when one was within budget.
-    Cg {
-        diag: Vec<f64>,
-        precond: Option<SparseCholesky>,
-    },
+    /// Matrix-free Jacobi PCG with the plan-time-cached `diag(AᵀA)`.
+    Cg { diag: Vec<f64> },
 }
 
 /// The plan-time solver for one strategy's normal equations
 /// `AᵀA x = b` — the shareable, factor-once artifact behind
-/// [`PinvApply::Factored`]. Decides its own path by budget cascade:
+/// [`PinvApply::Factored`]. Decides its own path by a fixed cascade; the
+/// first rung that fits its budgets wins:
 ///
-/// 1. **Direct factor** — if `AᵀA` is affordable to form
-///    ([`GRAM_COST_FACTOR`]) and its symbolic fill is within
-///    [`FILL_GROWTH_FACTOR`], factor it once (Auto ordering).
-/// 2. **Rotated factor** — otherwise rotate by the orthonormal
-///    [`dyadic_haar_basis`]: `B = AQ` is O(log k)-per-row sparse for
-///    dyadic strategies and `BᵀB` has chordal tree-ancestor sparsity
-///    with zero fill in its natural order, so the same budgets now pass
-///    at k = 65 536.
-/// 3. **IC(0) PCG** — Gram formable but fill over budget: keep the
-///    no-fill incomplete factor as a CG preconditioner.
-/// 4. **Jacobi PCG** — anything else (including IC(0) breakdown):
-///    exactly the pre-factorization path, so nothing regresses.
+/// 1. **Direct factor** — `AᵀA` is affordable to form
+///    ([`GRAM_COST_FACTOR`]) and its natural-order symbolic fill is
+///    within [`FILL_GROWTH_FACTOR`]: factor it once.
+/// 2. **Rotated factor** — rotate by the orthonormal
+///    [`dyadic_haar_basis`] and apply the same budgets to `B = AQ`.
+///    `B` is O(log k)-per-row sparse for dyadic strategies and `BᵀB` has
+///    chordal tree-ancestor sparsity with zero fill in its natural
+///    order, so the budgets pass at k = 65 536.
+/// 3. **Jacobi PCG** — anything else: matrix-free CG under a cached
+///    `diag(AᵀA)`. This keeps planning infallible and arbitrary
+///    strategies served; a rank-deficient strategy surfaces as a typed
+///    error when the mechanism's construction probes run.
 #[derive(Debug)]
 pub struct GramSolver {
     path: GramPath,
@@ -135,81 +114,42 @@ pub struct GramSolver {
 }
 
 impl GramSolver {
-    /// Plans the solver for `strategy` by the budget cascade above.
-    /// Never fails: every rejected branch falls through to Jacobi PCG.
+    /// Plans the solver for `strategy` by the cascade above. Never
+    /// fails: a strategy neither factor rung admits gets Jacobi PCG.
     pub fn plan(strategy: &SparseMatrix, opts: CgOptions) -> GramSolver {
-        let k = strategy.cols();
-        let gram_cost = |m: &SparseMatrix| -> usize {
-            (0..m.rows())
-                .map(|i| {
-                    let c = m.row_nnz(i);
-                    c.saturating_mul(c)
-                })
-                .fold(0usize, usize::saturating_add)
-        };
-        let budget = |m: &SparseMatrix| GRAM_COST_FACTOR.saturating_mul(m.nnz() + k);
-
-        if gram_cost(strategy) <= budget(strategy) {
-            if let Ok(g) = strategy.transpose().matmul(strategy) {
-                match Self::factor_within_fill_budget(&g) {
-                    Ok(chol) => {
-                        return GramSolver {
-                            path: GramPath::Factored { basis: None, chol },
-                            opts,
-                        }
-                    }
-                    Err(LinalgError::FillBudgetExceeded { .. }) => {
-                        // Gram formable, factor too filled: IC(0) PCG,
-                        // with typed breakdown falling through to Jacobi.
-                        if let Ok(pc) = incomplete_cholesky0(&g) {
-                            return GramSolver {
-                                path: GramPath::Cg {
-                                    diag: strategy.col_sq_norms(),
-                                    precond: Some(pc),
-                                },
-                                opts,
-                            };
-                        }
-                    }
-                    // Rank deficiency etc.: let the CG path (and the
-                    // construction probes) pass judgment.
-                    Err(_) => {}
-                }
-            }
-            return Self::plan_cg(strategy, opts);
+        if let Some(chol) = Self::factor_within_budgets(strategy) {
+            return GramSolver {
+                path: GramPath::Factored { basis: None, chol },
+                opts,
+            };
         }
-
-        // Gram too dense to form: try the Haar congruence. The sparse
-        // product `AQ` leaves ~1e-13 rounding residue at entries the
-        // wavelet cancellation makes mathematically zero; dropped here
-        // (the smallest true entry of a dyadic rotation is ≥ 1/(2√k),
-        // many orders above the prune line), because the residue would
-        // densify `BᵀB` and break its chordal zero-fill pattern. The
-        // construction probes vet the pruned operator numerically
-        // before it can serve a release.
-        let q = dyadic_haar_basis(k);
-        if let Ok(b) = strategy.matmul(&q).map(|b| {
-            let tol = b.max_abs() * 1e-10;
-            b.dropping_below(tol)
-        }) {
-            if gram_cost(&b) <= budget(&b) {
-                if let Ok(g) = b.transpose().matmul(&b) {
-                    if let Ok(chol) = Self::factor_within_fill_budget(&g) {
-                        return GramSolver {
-                            path: GramPath::Factored {
-                                basis: Some(q),
-                                chol,
-                            },
-                            opts,
-                        };
-                    }
-                }
+        // The sparse product `AQ` leaves ~1e-13 rounding residue at
+        // entries the wavelet cancellation makes mathematically zero;
+        // dropped here (the smallest true entry of a dyadic rotation is
+        // ≥ 1/(2√k), many orders above the prune line), because the
+        // residue would densify `BᵀB` and break its chordal zero-fill
+        // pattern. The construction probes vet the pruned operator
+        // numerically before it can serve a release. Pruning inside the
+        // `map` frees the unpruned product before the Gram is formed.
+        let q = dyadic_haar_basis(strategy.cols());
+        if let Ok(b) = strategy
+            .matmul(&q)
+            .map(|b| b.dropping_below(b.max_abs() * 1e-10))
+        {
+            if let Some(chol) = Self::factor_within_budgets(&b) {
+                return GramSolver {
+                    path: GramPath::Factored {
+                        basis: Some(q),
+                        chol,
+                    },
+                    opts,
+                };
             }
         }
         Self::plan_cg(strategy, opts)
     }
 
-    /// The pre-factorization solver, unconditionally: Jacobi PCG with a
+    /// The matrix-free solver, unconditionally: Jacobi PCG with a
     /// plan-time-cached diagonal. Public so equivalence tests and
     /// benches can pin the factored path against the CG path on the
     /// same strategy.
@@ -217,17 +157,38 @@ impl GramSolver {
         GramSolver {
             path: GramPath::Cg {
                 diag: strategy.col_sq_norms(),
-                precond: None,
             },
             opts,
         }
     }
 
-    fn factor_within_fill_budget(g: &SparseMatrix) -> Result<SparseCholesky, LinalgError> {
+    /// Factors `mᵀm` in natural order when forming it is within
+    /// [`GRAM_COST_FACTOR`] and its fill within [`FILL_GROWTH_FACTOR`].
+    fn factor_within_budgets(m: &SparseMatrix) -> Option<SparseCholesky> {
+        let gram_cost = (0..m.rows())
+            .map(|i| {
+                let c = m.row_nnz(i);
+                c.saturating_mul(c)
+            })
+            .fold(0usize, usize::saturating_add);
+        if gram_cost > GRAM_COST_FACTOR.saturating_mul(m.nnz() + m.cols()) {
+            return None;
+        }
+        let g = m.transpose().matmul(m).ok()?;
         let lower = (g.nnz() + g.rows()) / 2;
         let cap = FILL_GROWTH_FACTOR.saturating_mul(lower.max(g.rows()));
-        let sym = SymbolicCholesky::analyze(g, CholeskyOrdering::Auto, Some(cap))?;
-        sym.factorize(g)
+        SymbolicCholesky::analyze(&g, Some(cap))
+            .and_then(|sym| sym.factorize(&g))
+            .ok()
+    }
+
+    /// The domain size `k` this solver was planned for (the columns of
+    /// its strategy).
+    pub(crate) fn dim(&self) -> usize {
+        match &self.path {
+            GramPath::Factored { chol, .. } => chol.n(),
+            GramPath::Cg { diag } => diag.len(),
+        }
     }
 
     /// Whether this solver serves releases from a cached factorization.
@@ -238,17 +199,6 @@ impl GramSolver {
     /// Whether the factorization runs through the Haar congruence.
     pub fn rotated(&self) -> bool {
         matches!(self.path, GramPath::Factored { basis: Some(_), .. })
-    }
-
-    /// Whether the CG path carries an IC(0) preconditioner.
-    pub fn uses_ic0(&self) -> bool {
-        matches!(
-            self.path,
-            GramPath::Cg {
-                precond: Some(_),
-                ..
-            }
-        )
     }
 
     /// Stored nonzeros of the cached factor, when one exists.
@@ -269,36 +219,30 @@ impl GramSolver {
     }
 
     /// Solves `AᵀA x = b` (column space). Returns the solution and the
-    /// CG iterations spent (0 on the factored path).
+    /// CG iterations spent (0 on the factored path). The caller has
+    /// checked that `strategy` has [`Self::dim`] columns.
     fn solve_gram(
         &self,
         strategy: &SparseMatrix,
         b: &[f64],
-        scratch: &mut SolveScratch,
+        ws: &mut CgWorkspace,
     ) -> Result<(Vec<f64>, usize), LinalgError> {
         match &self.path {
             GramPath::Factored { basis: None, chol } => {
                 let mut out = b.to_vec();
-                ensure_len(&mut scratch.a, chol.n());
-                chol.solve_in_place(&mut out, &mut scratch.a);
+                chol.solve_in_place(&mut out);
                 Ok((out, 0))
             }
             GramPath::Factored {
                 basis: Some(q),
                 chol,
             } => {
-                ensure_len(&mut scratch.a, q.cols());
-                ensure_len(&mut scratch.b, q.cols());
-                q.matvec_transpose_into(b, &mut scratch.a)?;
-                chol.solve_in_place(&mut scratch.a, &mut scratch.b);
-                Ok((q.matvec(&scratch.a)?, 0))
+                let mut z = q.matvec_transpose(b)?;
+                chol.solve_in_place(&mut z);
+                Ok((q.matvec(&z)?, 0))
             }
-            GramPath::Cg { diag, precond } => {
-                let pc = match precond {
-                    Some(c) => GramPreconditioner::Ic0(c),
-                    None => GramPreconditioner::JacobiWith(diag),
-                };
-                let sol = solve_gram_system_with(strategy, b, self.opts, pc, &mut scratch.ws)?;
+            GramPath::Cg { diag } => {
+                let sol = solve_gram_system(strategy, b, self.opts, diag, ws)?;
                 Ok((sol.x, sol.iterations))
             }
         }
@@ -306,7 +250,9 @@ impl GramSolver {
 }
 
 /// A matrix mechanism whose workload and strategy stay in CSR form and
-/// whose pseudoinverse is applied per release by preconditioned CG.
+/// whose pseudoinverse is applied per release through a shared
+/// [`GramSolver`] — triangular solves against a cached Cholesky factor,
+/// or matrix-free Jacobi CG for a strategy no factor rung admits.
 ///
 /// Requires the strategy to have full column rank (every strategy the
 /// engine plans with does) — that is what collapses the support condition
@@ -318,7 +264,10 @@ pub struct SparseMatrixMechanism {
     strategy: SparseMatrix,
     delta_a: f64,
     solver: Arc<GramSolver>,
-    scratch: Mutex<SolveScratch>,
+    /// CG workspace for the matrix-free rung; lives behind a `try_lock`
+    /// so concurrent releases never serialize — a contended solve just
+    /// runs with a fresh (allocating) workspace.
+    scratch: Mutex<CgWorkspace>,
     solves: AtomicUsize,
     cg_iterations: AtomicUsize,
 }
@@ -358,16 +307,26 @@ impl SparseMatrixMechanism {
     /// Prepares the mechanism around an already-planned (typically
     /// cache-shared) [`GramSolver`], so several workloads over one
     /// strategy pay for one factorization. Validation is identical to
-    /// [`Self::with_options`].
+    /// [`Self::with_options`], plus a typed
+    /// [`LinalgError::ShapeMismatch`] when `solver` was planned for a
+    /// domain size other than `strategy.cols()`.
     pub fn with_solver(
         w: SparseMatrix,
         strategy: SparseMatrix,
         solver: Arc<GramSolver>,
     ) -> Result<Self, MechanismError> {
-        if w.cols() != strategy.cols() {
+        let k = strategy.cols();
+        if w.cols() != k {
             return Err(MechanismError::InvalidParameter {
                 what: "workload and strategy must share the domain size",
             });
+        }
+        if solver.dim() != k {
+            let got = solver.dim();
+            return Err(MechanismError::Linalg(LinalgError::ShapeMismatch {
+                expected: (k, k),
+                got: (got, got),
+            }));
         }
         let delta_a = strategy.max_col_l1();
         if delta_a <= 0.0 {
@@ -383,7 +342,7 @@ impl SparseMatrixMechanism {
             strategy,
             delta_a,
             solver,
-            scratch: Mutex::new(SolveScratch::default()),
+            scratch: Mutex::new(CgWorkspace::new()),
             solves: AtomicUsize::new(0),
             cg_iterations: AtomicUsize::new(0),
         })
@@ -432,7 +391,7 @@ impl SparseMatrixMechanism {
     /// Buffer (re)allocations inside the shared solve scratch so far —
     /// flat after the first release of a given shape.
     pub fn scratch_allocations(&self) -> usize {
-        self.scratch.lock().map(|s| s.ws.allocations()).unwrap_or(0)
+        self.scratch.lock().map(|s| s.allocations()).unwrap_or(0)
     }
 
     /// Solves `AᵀA u = b` through the planned path, reusing the shared
@@ -442,7 +401,7 @@ impl SparseMatrixMechanism {
             Ok(mut s) => self.solver.solve_gram(&self.strategy, b, &mut s),
             Err(_) => self
                 .solver
-                .solve_gram(&self.strategy, b, &mut SolveScratch::default()),
+                .solve_gram(&self.strategy, b, &mut CgWorkspace::new()),
         };
         let (x, iterations) = solved.map_err(lift_rank_error)?;
         self.solves.fetch_add(1, Ordering::Relaxed);
@@ -522,7 +481,7 @@ impl SparseMatrixMechanism {
         Ok(laplace_variance(self.delta_a / eps.value()) * sq)
     }
 
-    /// Expected total squared error over all queries — `W.rows()` CG
+    /// Expected total squared error over all queries — `W.rows()` Gram
     /// solves; intended for offline reporting, not the serving path.
     pub fn total_error(&self, eps: Epsilon) -> Result<f64, MechanismError> {
         let mut acc = 0.0;
@@ -554,19 +513,21 @@ fn probe_round_trip_holds(a: &SparseMatrix, solver: &GramSolver) -> Result<bool,
     use rand::SeedableRng;
     let n = a.cols();
     let mut rng = StdRng::seed_from_u64(0x5EED_1DE4);
-    let mut scratch = SolveScratch::default();
+    let mut ws = CgWorkspace::new();
     for _ in 0..3 {
         let v: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
         let av = a.matvec(&v)?;
         let rhs = a.matvec_transpose(&av)?;
         let (back, _) = solver
-            .solve_gram(a, &rhs, &mut scratch)
+            .solve_gram(a, &rhs, &mut ws)
             .map_err(lift_rank_error)?;
         let scale = 1.0 + v.iter().fold(0.0_f64, |m, x| m.max(x.abs()));
-        if back
+        // `all(<=)` rather than `any(>)`: a NaN from a near-singular
+        // factor must fail the probe, not slip past it.
+        if !back
             .iter()
             .zip(&v)
-            .any(|(b, x)| (b - x).abs() > 1e-8 * scale)
+            .all(|(b, x)| (b - x).abs() <= 1e-8 * scale)
         {
             return Ok(false);
         }
@@ -781,6 +742,88 @@ mod tests {
             assert!((f - c).abs() <= 1e-9 * (1.0 + f.abs()), "{f} vs {c}");
         }
         assert_eq!(factored.cg_iterations(), 0);
+    }
+
+    /// Identity rows plus hub-first arrow rows `e₀ + eⱼ`: a strategy whose
+    /// Gram fills in completely in natural order.
+    fn arrow_strategy(k: usize) -> SparseMatrix {
+        let mut b = TripletBuilder::new(2 * k - 1, k);
+        for j in 0..k {
+            b.push(j, j, 1.0);
+        }
+        for j in 1..k {
+            b.push(k + j - 1, 0, 1.0);
+            b.push(k + j - 1, j, 1.0);
+        }
+        b.build()
+    }
+
+    #[test]
+    fn arrow_strategy_over_the_fill_cap_factors_through_the_rotation() {
+        // The hub-first arrow's Gram is cheap to form but its natural
+        // order fills in past FILL_GROWTH_FACTOR; the rotated Gram fits,
+        // so the cascade still serves it from a cached factor — and the
+        // releases match the dense materialized-A⁺ oracle.
+        let eps = Epsilon::new(0.8).unwrap();
+        for k in [64usize, 256] {
+            let strategy = arrow_strategy(k);
+            let solver = GramSolver::plan(&strategy, SparseMatrixMechanism::DEFAULT_CG_OPTIONS);
+            assert!(solver.is_factored(), "k={k}: fell back to CG");
+            assert!(solver.rotated(), "k={k}: natural order fit the fill cap");
+            let oracle =
+                MatrixMechanism::new(blowfish_linalg::Matrix::identity(k), strategy.to_dense())
+                    .unwrap();
+            let mm = SparseMatrixMechanism::with_solver(
+                SparseMatrix::identity(k),
+                strategy,
+                Arc::new(solver),
+            )
+            .unwrap();
+            let x: Vec<f64> = (0..k).map(|i| (i * 7 % 5) as f64).collect();
+            let rd = oracle.run(&x, eps, &mut StdRng::seed_from_u64(21)).unwrap();
+            let rs = mm.run(&x, eps, &mut StdRng::seed_from_u64(21)).unwrap();
+            for (d, s) in rd.iter().zip(&rs) {
+                assert!((d - s).abs() <= 1e-9 * (1.0 + d.abs()), "k={k}: {d} vs {s}");
+            }
+            assert_eq!(mm.cg_iterations(), 0);
+        }
+    }
+
+    #[test]
+    fn with_solver_rejects_a_solver_planned_for_another_domain() {
+        // Direct, rotated and CG solvers alike: a solver planned for one
+        // domain size handed a strategy over another is a typed shape
+        // error, never an index panic or a misreported rank failure.
+        let opts = SparseMatrixMechanism::DEFAULT_CG_OPTIONS;
+        let solvers = [
+            (16, GramSolver::plan(&identity_strategy_sparse(16), opts)),
+            (
+                256,
+                GramSolver::plan(&hierarchical_strategy_sparse(256), opts),
+            ),
+            (16, GramSolver::plan_cg(&identity_strategy_sparse(16), opts)),
+        ];
+        for (planned, solver) in solvers {
+            let solver = Arc::new(solver);
+            assert_eq!(solver.dim(), planned);
+            for k in [planned / 2, planned * 2] {
+                let res = SparseMatrixMechanism::with_solver(
+                    SparseMatrix::identity(k),
+                    hierarchical_strategy_sparse(k),
+                    Arc::clone(&solver),
+                );
+                assert!(
+                    matches!(
+                        res,
+                        Err(MechanismError::Linalg(LinalgError::ShapeMismatch {
+                            expected,
+                            got,
+                        })) if expected == (k, k) && got == (planned, planned)
+                    ),
+                    "planned {planned}, strategy {k}: {res:?}"
+                );
+            }
+        }
     }
 
     #[test]
